@@ -19,8 +19,8 @@
 ///   for (const ClientEvent& ev : (*client)->TakeEvents()) { ... }
 ///
 /// Concurrency model: one event-loop thread owns every connection and
-/// all protocol work. Each connection has a bounded outbound frame
-/// queue: when it fills, the server stops reading that connection's
+/// all protocol work. Each connection has one output buffer capped in
+/// frames: when it fills, the server stops reading that connection's
 /// requests, and pushed MATCH/DOC_DONE frames to a slow subscriber are
 /// dropped and counted (`dropped_frames` in STATS) rather than
 /// stalling the document stream.
@@ -113,7 +113,7 @@ struct ServerOptions {
   /// server-level memory_budget_bytes above.
   AdmissionPolicy admission = AdmissionPolicy::kReject;
 
-  /// Per-connection outbound queue capacity, in frames. At capacity
+  /// Per-connection output buffer cap, in unsent frames. At the cap
   /// the server stops reading the connection's own requests; pushed
   /// frames to it are dropped and counted in dropped_frames.
   size_t outbox_frames = 1024;

@@ -57,6 +57,10 @@ void EventLoop::SetTick(std::function<void()> tick, int interval_ms) {
   tick_interval_ms_ = interval_ms > 0 ? interval_ms : -1;
 }
 
+void EventLoop::SetAfterPosted(std::function<void()> after_posted) {
+  after_posted_ = std::move(after_posted);
+}
+
 void EventLoop::RequestStop() {
   // The pipe is the only cross-thread channel: the loop thread owns
   // stop_ and flips it when it drains the wake byte, so no flag is
@@ -132,6 +136,7 @@ void EventLoop::Run() {
       posted.swap(posted_);
     }
     for (auto& fn : posted) fn();
+    if (!posted.empty() && after_posted_) after_posted_();
 
     // The tick runs after dispatch so I/O progress handlers just made
     // (activity timestamps, reaps) is visible to it.

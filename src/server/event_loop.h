@@ -78,6 +78,12 @@ class EventLoop {
   /// discarded with the loop — they must not assume they run.
   void Post(std::function<void()> fn);
 
+  /// Installs a callback run on the loop thread after each batch of
+  /// posted callbacks (once per iteration that ran any), so work the
+  /// batch produced is finished once for the whole batch. Set before
+  /// Run().
+  void SetAfterPosted(std::function<void()> after_posted);
+
  private:
   EventLoop(int wake_read_fd, int wake_write_fd);
 
@@ -91,6 +97,7 @@ class EventLoop {
   const int wake_write_fd_;
   std::map<int, Entry> entries_;
   std::function<void()> tick_;
+  std::function<void()> after_posted_;
   int tick_interval_ms_ = -1;  // -1: no tick; poll blocks indefinitely
   bool stop_ = false;  // loop thread only; cross-thread stop via the pipe
 

@@ -144,6 +144,7 @@ class Server::Impl : public SessionHost {
     }
 
     XPS_RETURN_IF_ERROR(Listen());
+    loop_->SetAfterPosted([this] { FlushPushes(nullptr); });
     loop_->Add(
         listen_fd_, [] { return static_cast<short>(POLLIN); },
         [this](short) { AcceptConnections(); });
@@ -248,6 +249,7 @@ class Server::Impl : public SessionHost {
             .count();
     parse_bytes_total_ += bytes.size();
     if (!status.ok()) AbortDocument();
+    FlushPushes(session);
     return status;
   }
 
@@ -260,13 +262,15 @@ class Server::Impl : public SessionHost {
     publisher_ = nullptr;
     doc_bytes_ = 0;
     // FinishDocument drives the sink bridge synchronously: MATCH and
-    // DOC_DONE frames are queued to subscriber outboxes before the
+    // DOC_DONE frames are queued to subscriber buffers before the
     // publisher's DOC_OK is (FIFO per connection keeps that order on
     // the wire). It aborts internally on failure.
     Status status = engine_->FinishDocument();
     FlushDeferredUnsubs();
+    const uint64_t doc = engine_->documents_seen() - 1;
+    FlushPushes(session);
     if (!status.ok()) return status;
-    return static_cast<uint64_t>(engine_->documents_seen() - 1);
+    return doc;
   }
 
   Status OnCompact(Session*) override {
@@ -297,6 +301,8 @@ class Server::Impl : public SessionHost {
     line("connections", sessions_.size());
     line("dropped_frames", session->dropped_frames());
     line("outbox_capacity", options_.outbox_frames);
+    line("push_frames", push_counters_.frames);
+    line("push_writes", push_counters_.writes);
     line("peak_table_entries", pool_ != nullptr ? pool_->peak_table_entries()
                                                 : engine.peak_table_entries());
     line("peak_buffered_bytes", pool_ != nullptr
@@ -468,7 +474,7 @@ class Server::Impl : public SessionHost {
     if (it == sub_index_.end()) return;  // unsubscribed since dispatch
     Session* owner = subs_[it->second].owner;
     if (owner == nullptr) return;
-    owner->EnqueuePush(wire::EncodeMatch(wire_id, doc, ordinal));
+    if (owner->PushMatch(wire_id, doc, ordinal)) OweFlush(owner);
   }
 
   void PushPoolDocDone(uint64_t doc, const std::vector<std::string>& ids,
@@ -494,13 +500,9 @@ class Server::Impl : public SessionHost {
       ++group.count;
     }
     for (auto& [session, group] : groups) {
-      std::string payload;
-      payload.reserve(12 + group.entries.size());
-      wire::AppendU64(&payload, doc);
-      wire::AppendU32(&payload, group.count);
-      payload.append(group.entries);
-      session->EnqueuePush(
-          wire::EncodeFrame(wire::FrameType::kDocDone, payload));
+      if (session->PushDocDone(doc, group.count, group.entries)) {
+        OweFlush(session);
+      }
     }
   }
 
@@ -574,8 +576,8 @@ class Server::Impl : public SessionHost {
       SessionLimits limits;
       limits.max_frame_bytes = options_.max_frame_bytes;
       limits.outbox_frames = options_.outbox_frames;
-      auto session =
-          std::make_unique<Session>(fd, next_session_id_++, limits, this);
+      auto session = std::make_unique<Session>(fd, next_session_id_++,
+                                               limits, this, &push_counters_);
       Session* raw = session.get();
       sessions_[fd] = std::move(session);
       loop_->Add(
@@ -682,7 +684,9 @@ class Server::Impl : public SessionHost {
     if (slot >= subs_.size()) return;  // defensive: bridge/engine skew
     const SubRecord& record = subs_[slot];
     if (record.owner == nullptr) return;  // detached mid-document
-    record.owner->EnqueuePush(wire::EncodeMatch(record.wire_id, doc, ordinal));
+    if (record.owner->PushMatch(record.wire_id, doc, ordinal)) {
+      OweFlush(record.owner);
+    }
   }
 
   void PushDocDone(size_t doc, const std::vector<bool>& verdicts) {
@@ -702,14 +706,35 @@ class Server::Impl : public SessionHost {
       ++group.count;
     }
     for (auto& [session, group] : groups) {
-      std::string payload;
-      payload.reserve(12 + group.entries.size());
-      wire::AppendU64(&payload, doc);
-      wire::AppendU32(&payload, group.count);
-      payload.append(group.entries);
-      session->EnqueuePush(
-          wire::EncodeFrame(wire::FrameType::kDocDone, payload));
+      if (session->PushDocDone(doc, group.count, group.entries)) {
+        OweFlush(session);
+      }
     }
+  }
+
+  /// Notes that `session` got its first unsent push of the current
+  /// unit of work. A session whose buffer already held bytes needs no
+  /// note: those are waiting for POLLOUT, or for its own handler's
+  /// flush.
+  void OweFlush(Session* session) { flush_fds_.push_back(session->fd()); }
+
+  /// Write-through: ends a unit of work (a serial DOC_CHUNK or DOC_END,
+  /// a drained batch of pool results) by flushing exactly the sessions
+  /// it queued pushes for. A session whose send fails is reaped here,
+  /// because done() zeroes its poll interest and no later poll round
+  /// would report it; `current`, whose request is being handled, is
+  /// left to its own handler, which reaps it on return.
+  void FlushPushes(Session* current) {
+    for (size_t i = 0; i < flush_fds_.size(); ++i) {
+      auto it = sessions_.find(flush_fds_[i]);
+      if (it == sessions_.end()) continue;  // reaped since its push
+      Session* session = it->second.get();
+      session->Flush();
+      if (session->done() && session != current) {
+        RemoveSession(flush_fds_[i]);
+      }
+    }
+    flush_fds_.clear();
   }
 
   const ServerOptions options_;
@@ -735,6 +760,10 @@ class Server::Impl : public SessionHost {
 
   // --- loop-thread state -------------------------------------------
   std::unordered_map<int, std::unique_ptr<Session>> sessions_;
+  /// Sessions owed a write-through flush when the current unit of work
+  /// ends (fds, so a session reaped meanwhile is simply not found).
+  std::vector<int> flush_fds_;
+  PushCounters push_counters_;
   std::vector<SubRecord> subs_;  // engine subscription order
   std::unordered_map<uint32_t, size_t> sub_index_;  // wire id -> index
   uint32_t next_wire_id_ = 1;

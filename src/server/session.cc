@@ -16,13 +16,13 @@ constexpr size_t kControlHeadroom = 8;
 }  // namespace
 
 Session::Session(int fd, uint64_t id, const SessionLimits& limits,
-                 SessionHost* host)
+                 SessionHost* host, PushCounters* counters)
     : fd_(fd),
       id_(id),
       limits_(limits),
       host_(host),
+      counters_(counters),
       decoder_(limits.max_frame_bytes),
-      outbox_(limits.outbox_frames + kControlHeadroom),
       last_activity_(std::chrono::steady_clock::now()) {}
 
 Session::~Session() { ::close(fd_); }
@@ -30,43 +30,35 @@ Session::~Session() { ::close(fd_); }
 short Session::Interest() const {
   if (done_) return 0;
   short events = 0;
-  if (!draining_ && outbox_.size() < limits_.outbox_frames) events |= POLLIN;
-  if (!write_frame_.empty() || outbox_.size() > 0) events |= POLLOUT;
+  if (!draining_ && queued_frames() < limits_.outbox_frames) events |= POLLIN;
+  if (sent_ < out_.size()) events |= POLLOUT;
   return events;
 }
 
 void Session::HandleEvents(short revents) {
-  if ((revents & POLLOUT) != 0) FlushWrites();
+  if ((revents & POLLOUT) != 0) Flush();
   if ((revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0 &&
       !draining_ && !done_) {
     ReadInput();
   }
-  // Frames parked behind a full outbox resume here once a flush made
+  // Frames parked behind a full buffer resume here once a flush made
   // room; also drains whatever a read buffered.
   if (!done_ && !draining_) ProcessFrames();
+  Flush();
 }
 
-void Session::FlushWrites() {
-  while (!done_) {
-    if (write_frame_.empty()) {
-      std::optional<std::string> next = outbox_.TryPop();
-      if (!next.has_value()) break;
-      write_frame_ = std::move(*next);
-      write_offset_ = 0;
-    }
+void Session::Flush() {
+  const bool carries_push = last_push_end_ > sent_;
+  while (!done_ && sent_ < out_.size()) {
     // MSG_NOSIGNAL: a peer that vanished with frames queued must
     // surface as EPIPE here, not as a SIGPIPE that kills a host
     // process embedding the server as a library.
-    const ssize_t n = ::send(fd_, write_frame_.data() + write_offset_,
-                             write_frame_.size() - write_offset_,
+    const ssize_t n = ::send(fd_, out_.data() + sent_, out_.size() - sent_,
                              MSG_NOSIGNAL);
     if (n > 0) {
       last_activity_ = std::chrono::steady_clock::now();
-      write_offset_ += static_cast<size_t>(n);
-      if (write_offset_ == write_frame_.size()) {
-        write_frame_.clear();
-        write_offset_ = 0;
-      }
+      sent_ += static_cast<size_t>(n);
+      if (carries_push) ++counters_->writes;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -74,9 +66,32 @@ void Session::FlushWrites() {
     done_ = true;  // peer gone or unrecoverable write error
     return;
   }
-  if (draining_ && write_frame_.empty() && outbox_.size() == 0) {
+  ReleaseSent();
+  if (draining_ && sent_ == out_.size()) {
     done_ = true;  // the ERROR frame is out; close for real
   }
+}
+
+void Session::ReleaseSent() {
+  while (sent_frames_ < frame_ends_.size() &&
+         frame_ends_[sent_frames_] <= sent_) {
+    ++sent_frames_;
+  }
+  if (sent_ == out_.size()) {
+    out_.clear();
+    frame_ends_.clear();
+    sent_ = sent_frames_ = last_push_end_ = 0;
+    return;
+  }
+  // After a partial write: compacting only once the sent prefix
+  // outweighs the rest keeps the copying linear in the bytes sent.
+  if (sent_ < out_.size() - sent_) return;
+  out_.erase(0, sent_);
+  frame_ends_.erase(frame_ends_.begin(),
+                    frame_ends_.begin() + static_cast<ptrdiff_t>(sent_frames_));
+  for (size_t& end : frame_ends_) end -= sent_;
+  last_push_end_ = last_push_end_ > sent_ ? last_push_end_ - sent_ : 0;
+  sent_ = sent_frames_ = 0;
 }
 
 void Session::ReadInput() {
@@ -96,11 +111,10 @@ void Session::ReadInput() {
 }
 
 void Session::ProcessFrames() {
-  // The gate: no request is admitted while the outbox is at the cap,
+  // The gate: no request is admitted while the buffer is at the cap,
   // which both bounds control-ack headroom use and backpressures the
-  // client (reading pauses via Interest() until the queue drains).
-  while (!done_ && !draining_ &&
-         outbox_.size() < limits_.outbox_frames) {
+  // client (reading pauses via Interest() until the buffer drains).
+  while (!done_ && !draining_ && queued_frames() < limits_.outbox_frames) {
     auto next = decoder_.Next();
     if (!next.ok()) {
       FailConnection(next.status());
@@ -190,22 +204,49 @@ void Session::HandleFrame(const wire::Frame& frame) {
 
 void Session::FailConnection(const Status& status) {
   draining_ = true;
-  if (!outbox_.TryPush(wire::EncodeError(status))) done_ = true;
+  EnqueueControl(wire::EncodeError(status));
 }
 
-void Session::EnqueuePush(std::string frame) {
-  if (done_ || draining_ || outbox_.size() >= limits_.outbox_frames ||
-      !outbox_.TryPush(std::move(frame))) {
+bool Session::AdmitPush() {
+  if (done_ || draining_ || queued_frames() >= limits_.outbox_frames) {
     ++dropped_frames_;
+    return false;
   }
+  return true;
 }
 
-void Session::EnqueueControl(std::string frame) {
-  if (!outbox_.TryPush(std::move(frame))) {
+bool Session::EndPush(size_t start) {
+  frame_ends_.push_back(out_.size());
+  last_push_end_ = out_.size();
+  ++counters_->frames;
+  return start == sent_;
+}
+
+bool Session::PushMatch(uint32_t sub_id, uint64_t doc_index,
+                        uint64_t ordinal) {
+  if (!AdmitPush()) return false;
+  const size_t start = out_.size();
+  wire::AppendMatch(&out_, sub_id, doc_index, ordinal);
+  return EndPush(start);
+}
+
+bool Session::PushDocDone(uint64_t doc_index, uint32_t count,
+                          std::string_view entries) {
+  if (!AdmitPush()) return false;
+  const size_t start = out_.size();
+  wire::AppendDocDone(&out_, doc_index, count, entries);
+  return EndPush(start);
+}
+
+void Session::EnqueueControl(std::string_view frame) {
+  if (queued_frames() >= limits_.outbox_frames + kControlHeadroom) {
     // Headroom exhausted: the admission gate was bypassed somehow.
     // Closing beats leaving the client waiting for an ack forever.
     done_ = true;
+    return;
   }
+  out_.append(frame);
+  frame_ends_.push_back(out_.size());
 }
 
 }  // namespace xpstream

@@ -21,12 +21,34 @@ void AppendU64(std::string* out, uint64_t value) {
   }
 }
 
+void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
+  AppendU32(out, static_cast<uint32_t>(payload.size() + 1));
+  AppendU8(out, static_cast<uint8_t>(type));
+  out->append(payload);
+}
+
+void AppendMatch(std::string* out, uint32_t sub_id, uint64_t doc_index,
+                 uint64_t ordinal) {
+  AppendU32(out, 1 + 4 + 8 + 8);
+  AppendU8(out, static_cast<uint8_t>(FrameType::kMatch));
+  AppendU32(out, sub_id);
+  AppendU64(out, doc_index);
+  AppendU64(out, ordinal);
+}
+
+void AppendDocDone(std::string* out, uint64_t doc_index, uint32_t count,
+                   std::string_view entries) {
+  AppendU32(out, static_cast<uint32_t>(1 + 8 + 4 + entries.size()));
+  AppendU8(out, static_cast<uint8_t>(FrameType::kDocDone));
+  AppendU64(out, doc_index);
+  AppendU32(out, count);
+  out->append(entries);
+}
+
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string frame;
   frame.reserve(5 + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size() + 1));
-  AppendU8(&frame, static_cast<uint8_t>(type));
-  frame.append(payload);
+  AppendFrame(&frame, type, payload);
   return frame;
 }
 
@@ -58,12 +80,9 @@ std::string EncodeDocOk(uint64_t doc_index) {
 
 std::string EncodeMatch(uint32_t sub_id, uint64_t doc_index,
                         uint64_t ordinal) {
-  std::string payload;
-  payload.reserve(20);
-  AppendU32(&payload, sub_id);
-  AppendU64(&payload, doc_index);
-  AppendU64(&payload, ordinal);
-  return EncodeFrame(FrameType::kMatch, payload);
+  std::string frame;
+  AppendMatch(&frame, sub_id, doc_index, ordinal);
+  return frame;
 }
 
 std::string EncodeError(const Status& status) {
@@ -143,11 +162,18 @@ Status DecodeError(std::string_view payload) {
   return Status::Internal("unknown error code from server");
 }
 
+void FrameDecoder::Append(std::string_view bytes) {
+  buffer_.erase(0, read_);
+  read_ = 0;
+  buffer_.append(bytes);
+}
+
 Result<std::optional<Frame>> FrameDecoder::Next() {
-  if (buffer_.size() < 4) return std::optional<Frame>();
+  const std::string_view pending = std::string_view(buffer_).substr(read_);
+  if (pending.size() < 4) return std::optional<Frame>();
   uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
-    length = (length << 8) | static_cast<unsigned char>(buffer_[i]);
+    length = (length << 8) | static_cast<unsigned char>(pending[i]);
   }
   if (length == 0) {
     return Status::InvalidArgument("frame with zero length (no type byte)");
@@ -158,13 +184,13 @@ Result<std::optional<Frame>> FrameDecoder::Next() {
         " bytes exceeds max_frame_bytes = " +
         std::to_string(max_frame_bytes_));
   }
-  if (buffer_.size() < 4 + static_cast<size_t>(length)) {
+  if (pending.size() < 4 + static_cast<size_t>(length)) {
     return std::optional<Frame>();  // partial frame, wait for more bytes
   }
   Frame frame;
-  frame.type = static_cast<FrameType>(buffer_[4]);
-  frame.payload.assign(buffer_, 5, length - 1);
-  buffer_.erase(0, 4 + static_cast<size_t>(length));
+  frame.type = static_cast<FrameType>(pending[4]);
+  frame.payload.assign(pending.substr(5, length - 1));
+  read_ += 4 + static_cast<size_t>(length);
   return std::optional<Frame>(std::move(frame));
 }
 

@@ -62,6 +62,18 @@ void AppendU8(std::string* out, uint8_t value);
 void AppendU32(std::string* out, uint32_t value);
 void AppendU64(std::string* out, uint64_t value);
 
+// --- frame encoders (append one whole frame to an output buffer) -----
+
+/// Appends `payload` wrapped in a length-prefixed frame to `out`.
+void AppendFrame(std::string* out, FrameType type, std::string_view payload);
+/// Appends a MATCH frame to `out`.
+void AppendMatch(std::string* out, uint32_t sub_id, uint64_t doc_index,
+                 uint64_t ordinal);
+/// Appends a DOC_DONE frame to `out`; `entries` holds `count`
+/// pre-encoded (u32 subscription id + u8 hit) pairs.
+void AppendDocDone(std::string* out, uint64_t doc_index, uint32_t count,
+                   std::string_view entries);
+
 /// Wraps `payload` in a length-prefixed frame ready for the socket.
 std::string EncodeFrame(FrameType type, std::string_view payload);
 
@@ -114,17 +126,21 @@ class FrameDecoder {
   explicit FrameDecoder(size_t max_frame_bytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  void Append(std::string_view bytes) { buffer_.append(bytes); }
+  /// Buffers `bytes`. The bytes of frames Next() already returned are
+  /// dropped here, once per call, so decoding stays linear in the bytes
+  /// received however many frames one Append() carries.
+  void Append(std::string_view bytes);
 
   /// Extracts the next complete frame; nullopt when the buffer holds
   /// only a partial frame; non-OK exactly once on a framing violation.
   Result<std::optional<Frame>> Next();
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - read_; }
 
  private:
   const size_t max_frame_bytes_;
   std::string buffer_;
+  size_t read_ = 0;  // offset of the first byte no frame consumed yet
 };
 
 }  // namespace wire
