@@ -161,16 +161,23 @@ struct EngineOptions {
   /// earlier ones are matched. Values below 1 are treated as 1.
   size_t batch_size = 8;
 
-  /// Stop matching a document as soon as every subscription's verdict
-  /// is provably decided (all matched — verdicts are monotone, so
-  /// non-matches only decide at endDocument). The rest of the document
-  /// is consumed through a fast well-formedness-only path: byte input
-  /// is still fully parsed and validated, SAX input is depth-checked,
-  /// but no engine sees the remaining events. A pure work cut — the
-  /// verdicts, decided positions and sink deliveries are identical to
-  /// a full scan. With threads > 1 the skip happens inside each
-  /// shard's batch replay instead (events are already buffered by the
-  /// time matching starts).
+  /// Match only where a verdict can still change. The cut is per
+  /// slot: a subscription slot whose verdict commits mid-document
+  /// (decided means matched there — verdicts are monotone, so
+  /// non-matches only decide at endDocument) gets no further events
+  /// of that document, and once every slot has committed no engine
+  /// sees the rest at all. The per-slot cut applies to the
+  /// one-filter-per-subscription engines (frontier, nfa, lazy_dfa;
+  /// naive commits only at endDocument); nfa_index runs all slots in
+  /// one automaton and is cut only whole. A pure work cut: verdicts,
+  /// decided positions and sink deliveries are identical to a full
+  /// scan. Memory gauges stop at each slot's commitment, so peaks are
+  /// at most a full scan's. Malformed tails still fail: byte input is
+  /// fully parsed and validated, and the facade itself checks SAX
+  /// stream shape (an unbalanced endElement, an endDocument with open
+  /// elements), which the engines past their commitment no longer
+  /// see. With threads > 1 the cuts happen inside each shard's batch
+  /// replay (events are already buffered by the time matching starts).
   bool short_circuit = false;
 
   /// Maximum open-element depth a document may reach on the streaming
@@ -524,9 +531,11 @@ class Engine : public EventSink {
   /// per-slot results of the most recent document, if stale.
   void MaterializeExpansion() const;
 
-  /// Consumes one event of the skipped tail of a short-circuited
-  /// document: well-formedness-only depth checking, no matching.
-  Status SkipEvent(const Event& event);
+  /// Mirrors one event's effect on the open-element depth; with
+  /// short_circuit on, rejects an unbalanced endElement and an
+  /// endDocument with open elements (engines past their commitment
+  /// no longer see the events that would have failed them).
+  Status CheckShape(const Event& event);
 
   /// Document-completion bookkeeping shared by the streaming, batch
   /// and short-circuit paths: decided positions, history, peak gauges,
@@ -601,7 +610,7 @@ class Engine : public EventSink {
   // --- current-document push/skip state ---
   ResultSink* result_sink_ = nullptr;
   bool short_circuited_ = false;  // skipping the rest of this document
-  size_t element_depth_ = 0;      // open elements (skip-path validation)
+  size_t element_depth_ = 0;      // open elements (shape check under the cut)
   size_t event_ordinal_ = 0;      // ordinal of the next event
   size_t matched_count_ = 0;      // eval slots decided (matched) so far
   std::vector<size_t> decided_at_;  // per eval slot, current document

@@ -66,26 +66,32 @@ Result<std::unique_ptr<Matcher>> BuildMatcher(
   // engine itself (it must not show up in AvailableEngines()), so the
   // facade resolves it here: the planner-backed AutoMatcher at
   // threads = 1, one AutoMatcher per shard otherwise.
+  std::unique_ptr<Matcher> matcher;
   if (options.threads == 1) {
-    if (options.engine == "auto") return CreateAutoMatcher(context);
-    return EngineRegistry::Global().CreateMatcher(options.engine, context);
+    auto created =
+        options.engine == "auto"
+            ? CreateAutoMatcher(context)
+            : EngineRegistry::Global().CreateMatcher(options.engine, context);
+    if (!created.ok()) return created.status();
+    matcher = std::move(created).value();
+  } else {
+    auto sharded =
+        options.engine == "auto"
+            ? ShardedMatcher::Create(
+                  "auto",
+                  [](const PipelineContext& shard_context) {
+                    return CreateAutoMatcher(shard_context);
+                  },
+                  options.threads, pool, context)
+            : ShardedMatcher::Create(options.engine, options.threads, pool,
+                                     context);
+    if (!sharded.ok()) return sharded.status();
+    matcher = std::move(sharded).value();
   }
-  auto matcher =
-      options.engine == "auto"
-          ? ShardedMatcher::Create(
-                "auto",
-                [](const PipelineContext& shard_context) {
-                  return CreateAutoMatcher(shard_context);
-                },
-                options.threads, pool, context)
-          : ShardedMatcher::Create(options.engine, options.threads, pool,
-                                   context);
-  if (!matcher.ok()) return matcher.status();
-  // Sharded matching starts at the endDocument dispatch, so the facade
-  // skip path never triggers; the cut happens inside each shard's
-  // replay instead.
-  (*matcher)->EnableShortCircuit(options.short_circuit);
-  return std::unique_ptr<Matcher>(std::move(matcher).value());
+  // The per-slot commitment cut, in whatever stack was built: composite
+  // matchers forward it to their shards and members.
+  matcher->EnableShortCircuit(options.short_circuit);
+  return matcher;
 }
 
 }  // namespace
@@ -556,23 +562,32 @@ const std::vector<size_t>& Engine::last_decided_at() const {
   return last_decided_at_;
 }
 
-Status Engine::SkipEvent(const Event& event) {
-  // The engines are done with this document; only stream shape is
-  // still enforced so a malformed tail cannot slip through. (Byte
-  // input additionally passes the full XmlParser validation.)
+Status Engine::CheckShape(const Event& event) {
+  // Without the cut the engines validate stream shape (a sharded
+  // matcher only at dispatch, hence the underflow clamp). Under it,
+  // the engines still fed may not check what a cut one would have, so
+  // the facade rejects a malformed tail itself. (Byte input
+  // additionally passes the full XmlParser validation.)
   switch (event.type) {
     case EventType::kStartElement:
       ++element_depth_;
-      return Status::OK();
+      break;
     case EventType::kEndElement:
-      if (element_depth_ == 0) {
+      if (element_depth_ > 0) {
+        --element_depth_;
+      } else if (options_.short_circuit) {
         return Status::NotWellFormed("unbalanced endElement");
       }
-      --element_depth_;
-      return Status::OK();
+      break;
+    case EventType::kEndDocument:
+      if (options_.short_circuit && element_depth_ != 0) {
+        return Status::NotWellFormed("endDocument with open elements");
+      }
+      break;
     default:
-      return Status::OK();
+      break;
   }
+  return Status::OK();
 }
 
 void Engine::FinalizeDocument() {
@@ -652,10 +667,8 @@ Status Engine::OnEvent(const Event& event) {
         return Status::NotWellFormed("endDocument outside a document");
       }
       collector_.OnEvent(event);
+      XPS_RETURN_IF_ERROR(CheckShape(event));
       if (short_circuited_) {
-        if (element_depth_ != 0) {
-          return Status::NotWellFormed("endDocument with open elements");
-        }
         // All subscriptions decided mid-document — decided means
         // matched, so the verdicts are known without the matcher.
         slot_verdicts_.assign(slots_.size(), true);
@@ -685,24 +698,13 @@ Status Engine::OnEvent(const Event& event) {
       }
       // The profile measures the whole document, skipped tail included.
       collector_.OnEvent(event);
-      if (short_circuited_) {
-        XPS_RETURN_IF_ERROR(SkipEvent(event));
-        ++event_ordinal_;
-        return Status::OK();
-      }
-      XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
-      // Per-event streaming keeps push delivery synchronous: everything
-      // the matcher decided at this event flushes before the next one.
-      // (The batch path flushes on ordinal advance instead.)
-      if (result_sink_ != nullptr) FlushPendingMatches();
-      if (event.type == EventType::kStartElement) {
-        ++element_depth_;
-      } else if (event.type == EventType::kEndElement &&
-                 element_depth_ > 0) {
-        // The matcher validates balance; this mirror only feeds the
-        // skip path (a sharded matcher defers validation to dispatch,
-        // hence the underflow clamp).
-        --element_depth_;
+      XPS_RETURN_IF_ERROR(CheckShape(event));
+      if (!short_circuited_) {
+        XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
+        // Per-event streaming keeps push delivery synchronous:
+        // everything the matcher decided at this event flushes before
+        // the next one. (The batch path flushes on ordinal advance.)
+        if (result_sink_ != nullptr) FlushPendingMatches();
       }
       ++event_ordinal_;
       // Decided means matched, per eval slot: tombstoned slots never
@@ -723,7 +725,8 @@ namespace {
 /// True when `events` is exactly one document envelope: startDocument
 /// first, endDocument last, no interior document boundaries. Element
 /// balance is left to the engines (a sharded matcher reports it at
-/// dispatch, matching the per-event path's behavior).
+/// dispatch, matching the per-event path's behavior) and, under the
+/// cut, to the facade's CheckShape.
 bool IsSingleDocumentEnvelope(const EventStream& events) {
   if (events.size() < 2 ||
       events.front().type != EventType::kStartDocument ||
@@ -755,8 +758,12 @@ Result<std::vector<bool>> Engine::FilterEventsBatch(
   pending_matches_.clear();
   pending_ordinal_ = 0;
   collector_.Reset();
-  for (const Event& event : events) collector_.OnEvent(event);
-  Status status = matcher_->OnDocument(events);
+  Status status;
+  for (const Event& event : events) {
+    collector_.OnEvent(event);
+    if (status.ok()) status = CheckShape(event);
+  }
+  if (status.ok()) status = matcher_->OnDocument(events);
   if (!status.ok()) {
     AbortDocument();
     return status;

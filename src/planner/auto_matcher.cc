@@ -60,6 +60,7 @@ Result<size_t> AutoMatcher::EnsureMember(const std::string& engine) {
   Member member;
   member.engine = engine;
   member.matcher = std::move(matcher).value();
+  member.matcher->EnableShortCircuit(short_circuit_);
   member.relay = std::make_unique<Relay>(this, members_.size());
   member.matcher->SetSink(member.relay.get());
   members_.push_back(std::move(member));
@@ -182,6 +183,11 @@ bool AutoMatcher::AllDecided() const {
     if (!member.matcher->AllDecided()) return false;
   }
   return true;
+}
+
+void AutoMatcher::EnableShortCircuit(bool on) {
+  Matcher::EnableShortCircuit(on);
+  for (Member& member : members_) member.matcher->EnableShortCircuit(on);
 }
 
 void AutoMatcher::PublishShared() {

@@ -43,6 +43,7 @@ class AutoMatcher : public Matcher {
   Result<std::vector<bool>> Verdicts() const override;
   std::vector<size_t> DecidedPositions() const override;
   bool AllDecided() const override;
+  void EnableShortCircuit(bool on) override;
   void PublishShared() override;
   const MemoryStats& stats() const override;
 

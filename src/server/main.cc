@@ -138,8 +138,10 @@ int main(int argc, char** argv) {
     }
     ++i;
   }
-  // An unbounded document stream has no use for per-document history.
+  // An unbounded document stream has no use for per-document history,
+  // and a subscription committed mid-document needs no more events.
   options.engine.keep_history = false;
+  options.engine.short_circuit = true;
 
   if (::pipe(g_signal_pipe) != 0) {
     std::perror("pipe");

@@ -54,6 +54,7 @@ Status FrontierFilter::Reset() {
   failed_ = false;
   ordinal_ = 0;
   decided_at_ = kNoEventOrdinal;
+  skip_level_ = 0;
   stats_.Reset();
   trace_.clear();
   scopes_.clear();
@@ -127,6 +128,7 @@ void FrontierFilter::Snapshot(const Event& event) {
 Status FrontierFilter::OnSymbolizedEvent(const Event& event,
                                          Symbol name_sym) {
   if (failed_) return Status::Internal("filter already failed");
+  if (skip_level_ != 0 && SkipEvent(event.type)) return Status::OK();
   Status status;
   switch (event.type) {
     case EventType::kStartDocument:
@@ -171,6 +173,34 @@ Status FrontierFilter::OnSymbolizedEvent(const Event& event,
   UpdateGauges();
   Snapshot(event);
   return Status::OK();
+}
+
+bool FrontierFilter::SkipEvent(EventType type) {
+  switch (type) {
+    case EventType::kStartElement:
+      ++current_level_;
+      break;
+    case EventType::kEndElement:
+      if (--current_level_ == skip_level_) skip_level_ = 0;
+      break;
+    case EventType::kText:
+    case EventType::kAttribute:
+      break;
+    default:
+      // A document boundary inside an element is malformed; the full
+      // walk reports it.
+      skip_level_ = 0;
+      return false;
+  }
+  ++ordinal_;
+  return true;
+}
+
+bool FrontierFilter::HasOpenDescendant() const {
+  return std::any_of(frontier_.begin(), frontier_.end(), [](const Record& r) {
+    return !r.matched && !r.node->is_root() &&
+           r.node->axis() == Axis::kDescendant;
+  });
 }
 
 bool FrontierFilter::RootVerdictDecided() const {
@@ -275,6 +305,16 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
     }
   }
 
+  // Irrelevant-subtree skipping (implementation note 4): nothing
+  // below a non-candidate element can change the frontier when no
+  // descendant-axis record is still unmatched (child-axis records sit
+  // at shallower levels, matched records are never candidates) and no
+  // capture is open (text is only buffered for captures). Collection
+  // and tracing observe every event, so they walk in full.
+  if (candidates.empty() && captures_.empty() && !collecting_ &&
+      !trace_enabled_ && !HasOpenDescendant()) {
+    skip_level_ = current_level_;
+  }
   ++current_level_;
   return Status::OK();
 }

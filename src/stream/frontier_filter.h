@@ -19,9 +19,10 @@
 /// buffered characters (Thm 8.8), and FS(Q) tuples for path
 /// consistency-free closure-free queries.
 ///
-/// Three deliberate deviations from the literal pseudo-code, each a
-/// correctness fix validated by differential testing against the ground
-/// truth evaluator (see DESIGN.md §5):
+/// Four implementation notes. The first three are deliberate
+/// deviations from the literal pseudo-code, each a correctness fix
+/// validated by differential testing against the ground truth
+/// evaluator (see DESIGN.md §5):
 ///  1. matched bits are OR-accumulated on re-aggregation — the literal
 ///     assignment can erase a real match found in a deeper recursive
 ///     occurrence;
@@ -31,6 +32,15 @@
 ///  3. string-value captures are tracked per open candidate rather than
 ///     via a single strValueStart attribute per row — one descendant-axis
 ///     leaf can have several nested open candidates.
+///
+/// The fourth is a work cut: irrelevant subtrees are skipped. When a
+/// startElement is no candidate, no descendant-axis record is still
+/// unmatched and no capture is open, nothing below that element can
+/// change the frontier, so until it closes the filter only counts
+/// levels and event ordinals and runs no handler. The skip is
+/// invisible — verdicts, DecidedAt(), every gauge and SerializeState()
+/// at every event equal the full walk's — and it is off while tracing
+/// or collecting outputs, which observe every event.
 ///
 /// Supported fragment (paper §8): univariate conjunctive
 /// leaf-only-value-restricted Forward XPath; checked at construction.
@@ -144,6 +154,17 @@ class FrontierFilter : public StreamFilter {
   /// can erase matches.
   bool RootVerdictDecided() const;
 
+  /// Consumes one event inside an irrelevant subtree: only the level
+  /// and the ordinal move, and the skip ends when the subtree's root
+  /// closes. False for a document boundary, which takes the full walk.
+  /// Kept out of OnSymbolizedEvent: inlined there, it measurably
+  /// slowed the full walk on the deep-recursion corpus.
+  bool SkipEvent(EventType type);
+
+  /// True while some descendant-axis record is unmatched: the only
+  /// records whose candidates can lie anywhere below the current level.
+  bool HasOpenDescendant() const;
+
   /// True while an OUT(Q) candidate's string value is being captured.
   bool OutValueOpen() const;
 
@@ -163,6 +184,9 @@ class FrontierFilter : public StreamFilter {
   bool failed_ = false;
   size_t ordinal_ = 0;  ///< ordinal of the event being consumed
   size_t decided_at_ = kNoEventOrdinal;
+  /// Nonzero while skipping an irrelevant subtree: the level its root
+  /// element occupies, which current_level_ returns to when it closes.
+  size_t skip_level_ = 0;
 
   MemoryStats stats_;
   bool trace_enabled_ = false;

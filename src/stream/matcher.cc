@@ -31,12 +31,15 @@ Status FilterBankMatcher::Unsubscribe(size_t slot) {
   return Status::OK();
 }
 
-void FilterBankMatcher::ResetHarvest() {
-  decided_.assign(filters_.size(), 0);
+void FilterBankMatcher::ResetDecisions() {
+  decided_.assign(filters_.size(), kLive);
   decided_count_ = 0;
+  fed_.clear();
   for (size_t slot = 0; slot < filters_.size(); ++slot) {
-    if (filters_[slot] == nullptr) {
-      decided_[slot] = 1;
+    if (filters_[slot] != nullptr) {
+      fed_.push_back(slot);
+    } else {
+      decided_[slot] = kSettled;
       ++decided_count_;
     }
   }
@@ -47,42 +50,48 @@ Status FilterBankMatcher::Reset() {
     if (filter == nullptr) continue;
     XPS_RETURN_IF_ERROR(filter->Reset());
   }
-  ResetHarvest();
+  ResetDecisions();
   return Status::OK();
-}
-
-void FilterBankMatcher::HarvestDecisions(bool at_end) {
-  for (size_t slot = 0; slot < filters_.size(); ++slot) {
-    if (decided_[slot] != 0) continue;
-    const size_t position = filters_[slot]->DecidedAt();
-    if (position == kNoEventOrdinal) continue;
-    decided_[slot] = 1;
-    ++decided_count_;
-    if (sink_ == nullptr) continue;
-    // Mid-document a decided verdict is always a match; at endDocument
-    // the remaining filters decide false and are not reported.
-    if (!at_end) {
-      sink_->OnSlotMatched(slot, position);
-    } else {
-      auto verdict = filters_[slot]->Matched();
-      if (verdict.ok() && *verdict) sink_->OnSlotMatched(slot, position);
-    }
-  }
 }
 
 Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
                                             Symbol name_sym) {
   if (event.type == EventType::kStartDocument) {
-    // Member filters reset themselves on startDocument; the harvest
+    // Member filters reset themselves on startDocument; the decision
     // bookkeeping must match (direct callers may skip Reset()).
-    ResetHarvest();
+    ResetDecisions();
   }
-  for (auto& filter : filters_) {
-    if (filter == nullptr) continue;
+  const bool at_end = event.type == EventType::kEndDocument;
+  // One pass: feed each slot, then poll it for a fresh decision, so
+  // matches reach the sink slot-ascending within the event.
+  for (size_t i = 0; i < fed_.size();) {
+    const size_t slot = fed_[i];
+    StreamFilter* filter = filters_[slot].get();
     XPS_RETURN_IF_ERROR(filter->OnSymbolizedEvent(event, name_sym));
-  }
-  if (decided_count_ != filters_.size()) {
-    HarvestDecisions(event.type == EventType::kEndDocument);
+    const size_t position =
+        decided_[slot] == kLive ? filter->DecidedAt() : kNoEventOrdinal;
+    if (position != kNoEventOrdinal) {
+      ++decided_count_;
+      if (at_end) {
+        // At endDocument the remaining filters decide, false or true.
+        decided_[slot] = kSettled;
+        if (sink_ != nullptr) {
+          auto verdict = filter->Matched();
+          if (verdict.ok() && *verdict) sink_->OnSlotMatched(slot, position);
+        }
+      } else {
+        // Mid-document a decided verdict is always a match.
+        decided_[slot] = kCommitted;
+        if (sink_ != nullptr) sink_->OnSlotMatched(slot, position);
+        if (short_circuit_) {
+          // The cut: the verdict cannot change, so the slot sees no
+          // further events of this document.
+          fed_.erase(fed_.begin() + i);
+          continue;
+        }
+      }
+    }
+    ++i;
   }
   return Status::OK();
 }
@@ -100,9 +109,16 @@ std::vector<size_t> FilterBankMatcher::DecidedPositions() const {
 Result<std::vector<bool>> FilterBankMatcher::Verdicts() const {
   std::vector<bool> verdicts;
   verdicts.reserve(filters_.size());
-  for (const auto& filter : filters_) {
+  for (size_t slot = 0; slot < filters_.size(); ++slot) {
+    const StreamFilter* filter = filters_[slot].get();
     if (filter == nullptr) {
       verdicts.push_back(false);  // tombstoned slots never match
+      continue;
+    }
+    if (short_circuit_ && decided_[slot] == kCommitted) {
+      // Cut at its commitment: the filter never saw endDocument, and
+      // a mid-document decision is a match.
+      verdicts.push_back(true);
       continue;
     }
     auto verdict = filter->Matched();

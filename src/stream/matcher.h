@@ -15,6 +15,7 @@
 ///    where all subscriptions run in one automaton.
 /// Both are reached by name through the EngineRegistry.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -123,6 +124,17 @@ class Matcher : public EventSink {
   /// Prepares for a new document; verdicts and per-document stats reset.
   virtual Status Reset() = 0;
 
+  /// The per-slot commitment cut behind EngineOptions::short_circuit:
+  /// once a slot's verdict is committed mid-document (decided means
+  /// matched), the matcher may stop feeding it the rest of that
+  /// document. Verdicts, decided positions and sink reports stay those
+  /// of a full scan; per-slot gauges stop at the commitment, so peaks
+  /// are at most a full scan's. Off by default. Composite matchers
+  /// forward the setting to their parts (ShardedMatcher to its shards,
+  /// AutoMatcher to its members, including members created later).
+  /// Must not be called between startDocument and endDocument.
+  virtual void EnableShortCircuit(bool on) { short_circuit_ = on; }
+
   /// Feeds the next SAX event (EventSink interface): resolves the
   /// event's name against symbols() once — a cached-symbol read for
   /// events produced by a table-backed parser, one intern otherwise —
@@ -179,6 +191,7 @@ class Matcher : public EventSink {
   void BindSymbols(SymbolTable* table) { symbols_.Bind(table); }
 
   MatchSink* sink_ = nullptr;
+  bool short_circuit_ = false;
 
  private:
   SymbolTableRef symbols_;
@@ -222,23 +235,29 @@ class FilterBankMatcher : public Matcher {
   const MemoryStats& stats() const override;
 
  private:
-  /// Polls member filters for newly decided verdicts after one event
-  /// and forwards matches to the sink (slot-ascending). `at_end` marks
-  /// the endDocument event, where non-matches decide too.
-  void HarvestDecisions(bool at_end);
+  /// Per-slot decision state within the current document.
+  enum : uint8_t {
+    kLive = 0,       ///< verdict still open
+    kCommitted = 1,  ///< decided mid-document: a match (the cut point)
+    kSettled = 2,    ///< decided at endDocument, or tombstoned
+  };
 
-  /// Clears per-document harvest bookkeeping. Tombstoned slots start
-  /// pre-decided (they can never report), so AllDecided keeps meaning
-  /// "nothing left that could change".
-  void ResetHarvest();
+  /// Clears per-document decision bookkeeping. Tombstoned slots start
+  /// settled and unfed (they can never report), so AllDecided keeps
+  /// meaning "nothing left that could change".
+  void ResetDecisions();
 
   std::string name_;
   FilterFactory factory_;
   /// Member filters by slot; a null entry is a tombstoned slot
   /// (unsubscribed — it evaluates nothing and reads as a non-match).
   std::vector<std::unique_ptr<StreamFilter>> filters_;
-  std::vector<uint8_t> decided_;  ///< per-slot: decision already harvested
-  size_t decided_count_ = 0;
+  std::vector<uint8_t> decided_;  ///< per-slot decision state (enum above)
+  size_t decided_count_ = 0;      ///< slots not kLive
+  /// Slots the current document still feeds, ascending: every live
+  /// slot at document start (Unsubscribe is barred mid-document), minus
+  /// those the cut removed at their commitment.
+  std::vector<size_t> fed_;
   mutable MemoryStats stats_;  // aggregated on demand
 };
 

@@ -80,6 +80,11 @@ Status ShardedMatcher::Unsubscribe(size_t slot) {
   return shards_[slot % shards_.size()]->Unsubscribe(slot / shards_.size());
 }
 
+void ShardedMatcher::EnableShortCircuit(bool on) {
+  Matcher::EnableShortCircuit(on);
+  for (auto& shard : shards_) shard->EnableShortCircuit(on);
+}
+
 void ShardedMatcher::PublishShared() {
   // Sequential, on the dispatch thread: shards fold their private
   // overlays into the shared caches with no replay in flight.

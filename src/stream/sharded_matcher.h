@@ -41,11 +41,14 @@
 /// The borrowed OnDocument path replays a caller-owned span instead —
 /// no copy is held, so no batch bytes are charged there.
 ///
-/// Short-circuit: with EnableShortCircuit(true), each shard's replay
-/// stops at the first event after which all of its local verdicts are
-/// provably decided (all matched — monotone verdicts cannot change
-/// after that). The cut is per shard and deterministic, so results stay
-/// bit-identical; only the work shrinks.
+/// Short-circuit: EnableShortCircuit(true) reaches every shard, so each
+/// one cuts its committed slots out of the replay (the per-slot cut of
+/// Matcher::EnableShortCircuit), and each shard's replay stops at the
+/// first event after which all of its local verdicts are provably
+/// decided (all matched — monotone verdicts cannot change after that).
+/// Both cuts are deterministic, so verdicts, positions and sink
+/// sequences stay bit-identical; only the work, and with it the
+/// per-slot gauges past each commitment, shrinks.
 
 #include <memory>
 #include <string>
@@ -105,11 +108,9 @@ class ShardedMatcher : public Matcher {
   bool AllDecided() const override;
   const MemoryStats& stats() const override;
 
-  size_t num_shards() const { return shards_.size(); }
+  void EnableShortCircuit(bool on) override;
 
-  /// Allows shards to cut their replay short once all their local
-  /// verdicts are decided (see file comment). Off by default.
-  void EnableShortCircuit(bool on) { short_circuit_ = on; }
+  size_t num_shards() const { return shards_.size(); }
 
  private:
   /// Records one shard's match reports during its replay; drained into
@@ -137,7 +138,6 @@ class ShardedMatcher : public Matcher {
   std::shared_ptr<ThreadPool> pool_;
 
   size_t num_subscriptions_ = 0;
-  bool short_circuit_ = false;
   EventStream batch_;        // the current document's buffered events
   size_t batch_bytes_ = 0;   // symbolized size: text bytes + symbols
   std::vector<Symbol> syms_; // per-event symbols for the current replay

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <mutex>
 
 #include "common/string_util.h"
 #include "workload/doc_generator.h"
@@ -16,6 +18,19 @@ const char* kTitles[] = {"data", "streams", "logic", "systems", "queries"};
 const char* kAuthors[] = {"baryossef", "fontoura", "josifovski", "vardi",
                           "fagin"};
 const char* kPublishers[] = {"acm", "ieee", "elsevier"};
+const char* kDigits[] = {"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"};
+
+/// "n<i>" with process lifetime: generated event streams view their
+/// text (see the lifetime contract in xml/event.h), so it must outlive
+/// them. A deque never moves its elements, so earlier views survive
+/// growth.
+std::string_view ItemName(size_t i) {
+  static std::mutex mu;
+  static std::deque<std::string> names;
+  std::lock_guard<std::mutex> lock(mu);
+  while (names.size() <= i) names.push_back(StringPrintf("n%zu", names.size()));
+  return names[i];
+}
 
 }  // namespace
 
@@ -139,10 +154,10 @@ EventStream GenerateWideFanoutDocument(size_t fanout) {
   for (size_t i = 0; i < fanout; ++i) {
     events.push_back(Event::StartElement("item"));
     events.push_back(Event::StartElement("name"));
-    events.push_back(Event::Text(StringPrintf("n%zu", i)));
+    events.push_back(Event::Text(ItemName(i)));
     events.push_back(Event::EndElement("name"));
     events.push_back(Event::StartElement("val"));
-    events.push_back(Event::Text(StringPrintf("%zu", i % 10)));
+    events.push_back(Event::Text(kDigits[i % 10]));
     events.push_back(Event::EndElement("val"));
     events.push_back(Event::EndElement("item"));
   }

@@ -220,9 +220,12 @@ TEST(ApiSinkTest, SinkDeliveryBitIdenticalAcrossThreadCounts) {
 
 // Short-circuit is a pure work cut: verdicts, history, decided
 // positions and sink callbacks all match the full scan — for the
-// facade skip path (threads = 1) and the shard replay cut alike.
+// facade skip path (threads = 1), the shard replay cut, and the
+// per-slot commitment cut, which a holdout subscription that never
+// matches leaves as the only cut that can fire.
 TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
-  // All subscriptions decide in the prologue; a filler tail follows.
+  // All subscriptions decide in the prologue; a filler tail, nested
+  // one level deeper than the prologue, follows.
   EventStream doc;
   doc.push_back(Event::StartDocument());
   doc.push_back(Event::StartElement("feed"));
@@ -233,7 +236,9 @@ TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
   }
   for (int i = 0; i < 100; ++i) {
     doc.push_back(Event::StartElement("x"));
+    doc.push_back(Event::StartElement("y"));
     doc.push_back(Event::Text("filler"));
+    doc.push_back(Event::EndElement("y"));
     doc.push_back(Event::EndElement("x"));
   }
   doc.push_back(Event::EndElement("feed"));
@@ -241,51 +246,75 @@ TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
   // A second document where not everything matches: no cut happens.
   EventStream partial = FixtureDocument();
 
-  for (const char* name : {"nfa", "frontier", "nfa_index"}) {
+  for (const char* name :
+       {"frontier", "nfa", "lazy_dfa", "naive", "nfa_index", "auto"}) {
     for (size_t threads : {1u, 2u}) {
-      RecordingSink reference;
-      std::vector<std::vector<bool>> reference_history;
-      std::vector<size_t> reference_positions;
-      for (bool short_circuit : {false, true}) {
-        EngineOptions options;
-        options.engine = name;
-        options.threads = threads;
-        options.short_circuit = short_circuit;
-        auto engine = Engine::Create(options);
-        ASSERT_TRUE(engine.ok()) << name;
-        RecordingSink sink;
-        (*engine)->SetSink(&sink);
-        for (int i = 0; i < 4; ++i) {
-          ASSERT_TRUE((*engine)
-                          ->Subscribe("h" + std::to_string(i),
-                                      "//h" + std::to_string(i),
-                                      DeliveryMode::kEarliest)
-                          .ok())
-              << name;
-        }
-        ASSERT_TRUE((*engine)->FilterEvents(doc).ok()) << name;
-        std::vector<size_t> positions = (*engine)->last_decided_at();
-        ASSERT_TRUE((*engine)->FilterEvents(partial).ok()) << name;
-        if (!short_circuit) {
-          reference = std::move(sink);
-          reference_history = (*engine)->history();
-          reference_positions = std::move(positions);
-          EXPECT_EQ((*engine)->documents_short_circuited(), 0u);
-        } else {
-          EXPECT_EQ(sink.matches, reference.matches)
-              << name << " threads=" << threads;
-          EXPECT_EQ(sink.documents, reference.documents)
-              << name << " threads=" << threads;
-          EXPECT_EQ((*engine)->history(), reference_history)
-              << name << " threads=" << threads;
-          EXPECT_EQ((*engine)->last_decided_at().size(), 4u);
-          EXPECT_EQ(positions, reference_positions)
-              << name << " threads=" << threads;
-          if (threads == 1) {
-            // The facade skipped the tail of the all-match document
-            // (sharded engines cut inside the replay instead).
-            EXPECT_EQ((*engine)->documents_short_circuited(), 1u) << name;
+      for (bool holdout : {false, true}) {
+        const std::string label = std::string(name) +
+                                  " threads=" + std::to_string(threads) +
+                                  (holdout ? " holdout" : "");
+        RecordingSink reference;
+        std::vector<std::vector<bool>> reference_history;
+        std::vector<std::vector<size_t>> reference_positions;
+        size_t reference_peak = 0;
+        for (bool short_circuit : {false, true}) {
+          EngineOptions options;
+          options.engine = name;
+          options.threads = threads;
+          options.short_circuit = short_circuit;
+          auto engine = Engine::Create(options);
+          ASSERT_TRUE(engine.ok()) << label;
+          RecordingSink sink;
+          (*engine)->SetSink(&sink);
+          for (int i = 0; i < 4; ++i) {
+            ASSERT_TRUE((*engine)
+                            ->Subscribe("h" + std::to_string(i),
+                                        "//h" + std::to_string(i),
+                                        DeliveryMode::kEarliest)
+                            .ok())
+                << label;
           }
+          if (holdout) {
+            ASSERT_TRUE(
+                (*engine)->Subscribe("miss", "//zzz", DeliveryMode::kEarliest)
+                    .ok())
+                << label;
+          }
+          std::vector<std::vector<size_t>> positions;
+          for (const EventStream* events : {&doc, &partial}) {
+            ASSERT_TRUE((*engine)->FilterEvents(*events).ok()) << label;
+            positions.push_back((*engine)->last_decided_at());
+          }
+          if (!short_circuit) {
+            reference = std::move(sink);
+            reference_history = (*engine)->history();
+            reference_positions = std::move(positions);
+            reference_peak = (*engine)->peak_table_entries();
+            EXPECT_EQ((*engine)->documents_short_circuited(), 0u) << label;
+            continue;
+          }
+          EXPECT_EQ(sink.matches, reference.matches) << label;
+          EXPECT_EQ(sink.documents, reference.documents) << label;
+          EXPECT_EQ((*engine)->history(), reference_history) << label;
+          EXPECT_EQ(positions, reference_positions) << label;
+          // Gauges stop at each slot's commitment. The stack engines
+          // peak in the deeper tail, so only the holdout reaches it.
+          EXPECT_LE((*engine)->peak_table_entries(), reference_peak)
+              << label;
+          if (holdout && (std::string(name) == "nfa" ||
+                          std::string(name) == "lazy_dfa")) {
+            EXPECT_LT((*engine)->peak_table_entries(), reference_peak)
+                << label;
+          }
+          // The facade skips a whole tail only when every subscription
+          // decided mid-document: at threads = 1 (sharded engines cut
+          // inside the replay), without the holdout, and never for
+          // naive, which commits at endDocument.
+          const bool facade_cut =
+              threads == 1 && !holdout && std::string(name) != "naive";
+          EXPECT_EQ((*engine)->documents_short_circuited(),
+                    facade_cut ? 1u : 0u)
+              << label;
         }
       }
     }
@@ -322,6 +351,59 @@ TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
     auto verdicts = (*engine)->FilterEvents(events);
     EXPECT_FALSE(verdicts.ok());
     EXPECT_EQ((*engine)->documents_seen(), 0u);
+  }
+  {  // Mixed auto: //b[c = "x"] runs on frontier and is cut once it
+     // commits at </b>; //zzz runs live on nfa_index. The malformed
+     // tails below reach only the engine that would not reject them,
+     // so the facade's stream-shape check must.
+    EngineOptions auto_options = options;
+    auto_options.engine = "auto";
+    auto engine = Engine::Create(auto_options);
+    ASSERT_TRUE(engine.ok());
+    RecordingSink sink;
+    (*engine)->SetSink(&sink);
+    ASSERT_TRUE(
+        (*engine)->Subscribe("b", "//b[c = \"x\"]", DeliveryMode::kEarliest)
+            .ok());
+    ASSERT_TRUE((*engine)->Subscribe("zzz", "//zzz").ok());
+    auto b_plan = (*engine)->PlanOf("b");
+    ASSERT_TRUE(b_plan.ok());
+    EXPECT_EQ(b_plan->engine, "frontier");
+    auto zzz_plan = (*engine)->PlanOf("zzz");
+    ASSERT_TRUE(zzz_plan.ok());
+    EXPECT_EQ(zzz_plan->engine, "nfa_index");
+    // <a><b><c>x</c></b>: the frontier slot commits at </b> (ordinal 6).
+    const EventStream prologue = {
+        Event::StartDocument(), Event::StartElement("a"),
+        Event::StartElement("b"), Event::StartElement("c"),
+        Event::Text("x"),         Event::EndElement("c"),
+        Event::EndElement("b")};
+    EventStream open_tail = prologue;
+    open_tail.push_back(Event::StartElement("open"));
+    open_tail.push_back(Event::EndDocument());
+    EventStream extra_end = prologue;
+    extra_end.push_back(Event::EndElement("a"));
+    extra_end.push_back(Event::EndElement("a"));
+    extra_end.push_back(Event::EndDocument());
+    for (const EventStream* events : {&open_tail, &extra_end}) {
+      sink.matches.clear();
+      auto verdicts = (*engine)->FilterEvents(*events);
+      ASSERT_FALSE(verdicts.ok());
+      EXPECT_EQ(verdicts.status().code(), StatusCode::kNotWellFormed);
+      EXPECT_EQ((*engine)->documents_seen(), 0u);
+      // The frontier slot had committed before the tail went wrong.
+      ASSERT_EQ(sink.matches.size(), 1u);
+      EXPECT_EQ(std::get<2>(sink.matches[0]), 6u);
+    }
+    // The engine stays usable for the next (well-formed) document.
+    EventStream good = prologue;
+    good.push_back(Event::EndElement("a"));
+    good.push_back(Event::EndDocument());
+    auto retry = (*engine)->FilterEvents(good);
+    ASSERT_TRUE(retry.ok());
+    EXPECT_TRUE((*retry)[0]);
+    EXPECT_FALSE((*retry)[1]);
+    EXPECT_EQ((*engine)->documents_seen(), 1u);
   }
   {  // SAX path: endDocument while skipped elements are still open.
     auto engine = Engine::Create(options);
