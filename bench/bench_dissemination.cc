@@ -9,11 +9,9 @@
 // engine's memory is document-size independent while the buffering
 // engine's is Θ(|D|).
 
-// A threads sweep rides on the same harness: the 1024-subscription
-// nfa_index workload with EngineOptions{.threads = N} sharding the
-// subscriptions across a persistent pool (threads = 1 is the plain
-// single-threaded engine; verdict parity across thread counts is
-// enforced by api_sharded_test).
+// The 1024-subscription dissemination workload rides on the same
+// harness, over the shared-automaton engine and the frontier filter
+// bank.
 
 #include <benchmark/benchmark.h>
 
@@ -53,10 +51,9 @@ Workload FeedWorkload(size_t docs, size_t recursion) {
 }
 
 // 1024 linear-path subscriptions over a small name pool — the paper's
-// motivating dissemination scale, the same corpus as bench_nfa_index's
-// E10b table (shared construction in workload/scenarios.h). Built once
-// and leaked deliberately: both threads sweeps read it, and benchmark
-// registration outlives static destruction order guarantees.
+// motivating dissemination scale (construction in workload/scenarios.h).
+// Built once and leaked deliberately: both 1024-query rows read it, and
+// benchmark registration outlives static destruction order guarantees.
 const Workload& SweepWorkload() {
   static const Workload* workload = [] {
     DisseminationSweepWorkload sweep = MakeDisseminationSweep(1024, 20);
@@ -66,9 +63,10 @@ const Workload& SweepWorkload() {
   return *workload;
 }
 
-void RunWorkload(benchmark::State& state, const EngineOptions& base_options,
+void RunWorkload(benchmark::State& state, const std::string& engine_name,
                  const Workload& workload) {
-  EngineOptions options = base_options;
+  EngineOptions options;
+  options.engine = engine_name;
   options.keep_history = false;  // the timed loop must not accumulate
   auto engine = Engine::Create(options);
   if (!engine.ok()) std::abort();
@@ -97,19 +95,10 @@ void RunWorkload(benchmark::State& state, const EngineOptions& base_options,
   state.counters["matches"] = static_cast<double>(matches);
   state.counters["peak_bytes"] =
       static_cast<double>((*engine)->stats().PeakBytes());
-  state.counters["threads"] = static_cast<double>(
-      options.threads == 0 ? 1 : options.threads);
   state.counters["docs_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
           static_cast<double>(workload.documents.size()),
       benchmark::Counter::kIsRate);
-}
-
-void RunWorkload(benchmark::State& state, const std::string& engine_name,
-                 const Workload& workload) {
-  EngineOptions options;
-  options.engine = engine_name;
-  RunWorkload(state, options, workload);
 }
 
 void BM_Bibliography_Frontier(benchmark::State& state) {
@@ -136,34 +125,18 @@ void BM_MessageFeed_Naive(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageFeed_Naive)->Arg(2)->Arg(8)->Arg(32);
 
-// The threads sweep: 1024 subscriptions sharded across N threads over
-// the shared-automaton engine. Arg = thread count; threads=1 is the
-// unsharded baseline the ≥2×@4-threads target is measured against.
-void BM_Dissemination1024_NfaIndex_Threads(benchmark::State& state) {
-  const Workload& w = SweepWorkload();
-  EngineOptions options;
-  options.engine = "nfa_index";
-  options.threads = static_cast<size_t>(state.range(0));
-  RunWorkload(state, options, w);
+// 1024 subscriptions over the shared-automaton engine.
+void BM_Dissemination1024_NfaIndex(benchmark::State& state) {
+  RunWorkload(state, "nfa_index", SweepWorkload());
 }
-BENCHMARK(BM_Dissemination1024_NfaIndex_Threads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_Dissemination1024_NfaIndex)->Unit(benchmark::kMillisecond);
 
-// The same sweep over the frontier filter bank: per-subscription
-// filters shard trivially, so this measures pure pool scaling.
-void BM_Dissemination1024_Frontier_Threads(benchmark::State& state) {
-  const Workload& w = SweepWorkload();
-  EngineOptions options;
-  options.engine = "frontier";
-  options.threads = static_cast<size_t>(state.range(0));
-  RunWorkload(state, options, w);
+// The same subscriptions over the frontier filter bank: one
+// per-subscription filter each, sharing the scan.
+void BM_Dissemination1024_Frontier(benchmark::State& state) {
+  RunWorkload(state, "frontier", SweepWorkload());
 }
-BENCHMARK(BM_Dissemination1024_Frontier_Threads)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_Dissemination1024_Frontier)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xpstream

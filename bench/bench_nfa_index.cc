@@ -99,85 +99,7 @@ int RunE10() {
   return 0;
 }
 
-// E10b: the sharded dissemination path — 1024 subscriptions partitioned
-// across N threads of the same engine (EngineOptions{.threads = N}),
-// every document's event batch replayed to all shards in parallel.
-// threads = 1 is the plain single-threaded engine. Verdict parity across
-// thread counts is asserted here and enforced by api_sharded_test; the
-// speedup column is machine-dependent (1.0 on a single-core host).
-int RunShardedSweep() {
-  std::printf("\n# E10b: sharded dissemination (1024 queries, threads sweep)\n");
-  std::printf("%-8s %-14s %-10s %-10s\n", "threads", "us/doc", "speedup",
-              "matches");
-
-  // The same corpus bench_dissemination's threads sweep measures
-  // (shared construction in workload/scenarios.h).
-  DisseminationSweepWorkload sweep = MakeDisseminationSweep(1024, 20);
-  if (sweep.queries.size() != 1024) return 1;
-  const std::vector<std::string>& queries = sweep.queries;
-  const std::vector<EventStream>& docs = sweep.documents;
-
-  double base_us = 0;
-  size_t base_matches = 0;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    EngineOptions options;
-    options.engine = "nfa_index";
-    options.keep_history = false;
-    options.threads = threads;
-    auto engine = Engine::Create(options);
-    if (!engine.ok()) return 1;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      if (!(*engine)->Subscribe("S" + std::to_string(q), queries[q]).ok()) {
-        return 1;
-      }
-    }
-
-    size_t matches = 0;
-    auto pass = [&]() -> int {
-      matches = 0;
-      for (const EventStream& events : docs) {
-        auto verdicts = (*engine)->FilterEvents(events);
-        if (!verdicts.ok()) return 1;
-        for (bool v : *verdicts) matches += v;
-      }
-      return 0;
-    };
-    if (pass() != 0) return 1;  // warmup: pool spin-up, allocator steady
-    constexpr int kPasses = 5;
-    auto t0 = std::chrono::steady_clock::now();
-    for (int p = 0; p < kPasses; ++p) {
-      if (pass() != 0) return 1;
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    double us =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-                .count()) /
-        (kPasses * static_cast<double>(docs.size()));
-
-    if (threads == 1) {
-      base_us = us;
-      base_matches = matches;
-    } else if (matches != base_matches) {
-      std::fprintf(stderr, "sharded verdict mismatch at %zu threads\n",
-                   threads);
-      return 1;
-    }
-    std::printf("%-8zu %-14.1f %-10.2f %-10zu\n", threads, us,
-                us > 0 ? base_us / us : 0.0, matches);
-  }
-  std::printf(
-      "\nexpectation: dissemination is embarrassingly parallel across\n"
-      "subscriptions — with enough cores the sharded engine approaches\n"
-      "linear speedup while verdicts stay bit-identical to one thread.\n");
-  return 0;
-}
-
 }  // namespace
 }  // namespace xpstream
 
-int main() {
-  int rc = xpstream::RunE10();
-  if (rc != 0) return rc;
-  return xpstream::RunShardedSweep();
-}
+int main() { return xpstream::RunE10(); }

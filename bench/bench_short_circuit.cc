@@ -5,8 +5,7 @@
 // of the document through a well-formedness-only path.
 //
 // The win is a pure work cut (fewer engine events), not parallelism, so
-// it is measurable on a single core; the sharded row shows the same cut
-// applied inside each shard's batch replay. The holdout row adds one
+// it is measurable on a single core. The holdout row adds one
 // subscription that never matches, so the whole-document cut cannot
 // fire and only the per-slot cut (committed slots leave the scan)
 // remains. Verdict parity between the off/on runs is asserted on every
@@ -71,13 +70,12 @@ struct Row {
   bool ok = false;
 };
 
-Row Measure(const std::string& engine_name, size_t threads, bool holdout,
-            bool short_circuit, const std::vector<EventStream>& docs) {
+Row Measure(const std::string& engine_name, bool holdout, bool short_circuit,
+            const std::vector<EventStream>& docs) {
   Row row;
   EngineOptions options;
   options.engine = engine_name;
   options.keep_history = false;
-  options.threads = threads;
   options.short_circuit = short_circuit;
   auto engine = Engine::Create(options);
   if (!engine.ok()) return row;
@@ -119,8 +117,8 @@ int RunE12() {
       "# E12: short-circuit dissemination (%zu early-deciding "
       "subscriptions, %zu-event docs)\n",
       kSubscriptions, 3 * kSubscriptions + 5 * kTailItems + 4);
-  std::printf("%-17s %-8s %-5s %-12s %-10s %-10s %-8s\n", "engine",
-              "threads", "sc", "us/doc", "speedup", "matches", "sc_docs");
+  std::printf("%-17s %-5s %-12s %-10s %-10s %-8s\n", "engine", "sc",
+              "us/doc", "speedup", "matches", "sc_docs");
 
   const std::vector<EventStream> docs(8, MakeEarlyDecidingDocument());
   // The holdout's full-scan row walks every tail: fewer documents keep
@@ -129,31 +127,27 @@ int RunE12() {
 
   struct Config {
     const char* engine;
-    size_t threads;
     bool holdout;
   };
-  const Config configs[] = {{"nfa", 1, false},
-                            {"frontier", 1, false},
-                            {"nfa_index", 1, false},
-                            {"nfa", 2, false},
-                            {"frontier", 1, true}};
+  const Config configs[] = {{"nfa", false},
+                            {"frontier", false},
+                            {"nfa_index", false},
+                            {"frontier", true}};
   for (const Config& config : configs) {
     const std::vector<EventStream>& corpus =
         config.holdout ? holdout_docs : docs;
-    Row off = Measure(config.engine, config.threads, config.holdout, false,
-                      corpus);
-    Row on = Measure(config.engine, config.threads, config.holdout, true,
-                     corpus);
+    Row off = Measure(config.engine, config.holdout, false, corpus);
+    Row on = Measure(config.engine, config.holdout, true, corpus);
     if (!off.ok || !on.ok || off.matches != on.matches) {
-      std::fprintf(stderr, "E12: %s/%zu failed or verdicts diverged\n",
-                   config.engine, config.threads);
+      std::fprintf(stderr, "E12: %s failed or verdicts diverged\n",
+                   config.engine);
       return 1;
     }
     const std::string label =
         std::string(config.engine) + (config.holdout ? "+holdout" : "");
     for (const Row* row : {&off, &on}) {
-      std::printf("%-17s %-8zu %-5s %-12.1f %-10.2f %-10zu %-8zu\n",
-                  label.c_str(), config.threads, row == &off ? "off" : "on",
+      std::printf("%-17s %-5s %-12.1f %-10.2f %-10zu %-8zu\n",
+                  label.c_str(), row == &off ? "off" : "on",
                   row->us_per_doc,
                   row->us_per_doc > 0 ? off.us_per_doc / row->us_per_doc : 0.0,
                   row->matches / corpus.size(), row->sc_docs);

@@ -44,7 +44,6 @@ namespace xpstream {
 class DfaTableCache;  // internal (stream/dfa_table_cache.h)
 class Matcher;        // internal (stream/matcher.h)
 class SymbolTable;    // internal (xml/symbol_table.h)
-class ThreadPool;     // internal (common/thread_pool.h)
 class XmlParser;      // internal (xml/parser.h)
 
 /// What happens to a Subscribe whose predicted peak memory would push
@@ -78,8 +77,7 @@ enum class DeliveryMode {
 /// Observer for push-based result delivery. Attach with
 /// Engine::SetSink(); override only what you need. Callbacks are
 /// synchronous with the event stream and always arrive on the thread
-/// driving the engine, in a deterministic order that is bit-identical
-/// between threads = 1 and sharded execution: OnMatch calls in
+/// driving the engine, in a deterministic order: OnMatch calls in
 /// nondecreasing event-ordinal order (ascending slot within one
 /// ordinal), then the document's OnDocumentDone.
 class ResultSink {
@@ -144,23 +142,6 @@ struct EngineOptions {
   /// last_verdicts() and the peak gauges are consumed.
   bool keep_history = true;
 
-  /// Matching threads. 1 (the default) runs the base engine unchanged;
-  /// N > 1 partitions subscriptions round-robin across N shards of the
-  /// base engine and replays every document's event batch to all shards
-  /// on a persistent thread pool. Verdicts and history are bit-identical
-  /// to threads = 1 regardless of scheduling. Stats are deterministic
-  /// (slot-ordered merge, scheduling-independent) but not equal to the
-  /// threads = 1 readings: sharding changes per-shard structure sizes
-  /// (e.g. nfa_index loses cross-shard prefix sharing) and the buffered
-  /// event batch is charged to buffered_bytes. 0 means one thread per
-  /// hardware core.
-  size_t threads = 1;
-
-  /// Documents of parse lookahead in FilterDocuments(): with threads >
-  /// 1, up to this many upcoming documents are parsed on the pool while
-  /// earlier ones are matched. Values below 1 are treated as 1.
-  size_t batch_size = 8;
-
   /// Match only where a verdict can still change. The cut is per
   /// slot: a subscription slot whose verdict commits mid-document
   /// (decided means matched there — verdicts are monotone, so
@@ -173,21 +154,17 @@ struct EngineOptions {
   /// decided positions and sink deliveries are identical to a full
   /// scan. Memory gauges stop at each slot's commitment, so peaks are
   /// at most a full scan's. Malformed tails still fail: byte input is
-  /// fully parsed and validated, and the facade itself checks SAX
-  /// stream shape (an unbalanced endElement, an endDocument with open
-  /// elements), which the engines past their commitment no longer
-  /// see. With threads > 1 the cuts happen inside each shard's batch
-  /// replay (events are already buffered by the time matching starts).
+  /// fully parsed and validated, and the facade itself checks SAX stream
+  /// shape (an unbalanced endElement, an endDocument with open
+  /// elements), which the engines past their commitment no longer see.
   bool short_circuit = false;
 
-  /// Maximum open-element depth a document may reach on the streaming
-  /// entry points (bytes and per-event SAX); 0 = unlimited. Exceeding
-  /// it fails the document with kNotWellFormed before the offending
-  /// event reaches any engine — hostile-input hardening for service
+  /// Maximum open-element depth a document may reach on every entry
+  /// point (bytes, SAX and FilterEvents); 0 = unlimited. Exceeding it
+  /// fails the document with kNotWellFormed before the offending event
+  /// reaches any engine — hostile-input hardening for service
   /// deployments, where deep recursion is exactly the adversary the
-  /// paper's §4 lower bounds build. The whole-document batch fast path
-  /// (FilterEvents of a single envelope with threads > 1) trusts its
-  /// pre-parsed input and does not enforce the cap.
+  /// paper's §4 lower bounds build.
   size_t max_element_depth = 0;
 
   /// Cap on the cumulative bytes one document's entity and character
@@ -383,23 +360,11 @@ class Engine : public EventSink {
   // --- SAX-level entry points --------------------------------------
 
   /// Feeds one SAX event; documents are delimited by startDocument /
-  /// endDocument events (the old FilterSession contract).
+  /// endDocument events.
   Status OnEvent(const Event& event) override;
 
   /// Convenience: one pre-parsed document, returning its verdicts.
   Result<std::vector<bool>> FilterEvents(const EventStream& events);
-
-  // --- batch entry point -------------------------------------------
-
-  /// Filters a corpus of whole XML documents in order, returning one
-  /// verdict vector per document; equivalent to FilterXml per element.
-  /// With threads > 1 parsing and matching are pipelined: up to
-  /// batch_size upcoming documents parse on the thread pool while
-  /// earlier ones are matched. On the first failing document the error
-  /// is returned; earlier documents' verdicts remain in history() and
-  /// the engine stays usable for further documents.
-  Result<std::vector<std::vector<bool>>> FilterDocuments(
-      const std::vector<std::string>& xmls);
 
   // --- push-based results ------------------------------------------
 
@@ -424,10 +389,10 @@ class Engine : public EventSink {
   /// document; same errors as Matched(id).
   Result<size_t> DecidedAt(std::string_view id) const;
 
-  /// Documents whose tail was skipped by the facade's streaming
-  /// short-circuit path (threads = 1 only: with threads > 1 the cut
-  /// happens inside each shard's batch replay and is not counted
-  /// here, though the work reduction is just as real).
+  /// Documents whose tail was skipped by the facade's short-circuit
+  /// path: every live subscription had committed mid-document, so no
+  /// engine saw the rest. Per-slot cuts inside the matcher are not
+  /// counted here.
   size_t documents_short_circuited() const {
     return documents_short_circuited_;
   }
@@ -489,8 +454,7 @@ class Engine : public EventSink {
     bool degraded = false;
   };
 
-  Engine(EngineOptions options, std::shared_ptr<ThreadPool> pool,
-         std::unique_ptr<SymbolTable> symbols,
+  Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
          std::unique_ptr<DfaTableCache> owned_dfa_tables,
          std::unique_ptr<DocumentProfile> owned_profile,
          const EngineSharedContext& effective,
@@ -537,22 +501,17 @@ class Engine : public EventSink {
   /// no longer see the events that would have failed them).
   Status CheckShape(const Event& event);
 
-  /// Document-completion bookkeeping shared by the streaming, batch
-  /// and short-circuit paths: decided positions, history, peak gauges,
-  /// deferred sink deliveries. Expects last_verdicts_ set and
+  /// Document-completion bookkeeping shared by the matched and the
+  /// short-circuited endDocument: decided positions, history, peak
+  /// gauges, deferred sink deliveries. Expects slot_verdicts_ set and
   /// event_ordinal_ at the endDocument ordinal.
   void FinalizeDocument();
 
-  /// Whole-document fast path around Matcher::OnDocument (sharded
-  /// engines replay the caller-owned span without copying it).
-  Result<std::vector<bool>> FilterEventsBatch(const EventStream& events);
-
   EngineOptions options_;
-  std::shared_ptr<ThreadPool> pool_;  // live when options_.threads != 1
   /// The pipeline's shared name-interning table. Owned here — the
   /// facade outlives the parser that interns into it and the matcher
-  /// (and shards) that resolve against it; declared before matcher_ so
-  /// it is destroyed after everything referencing it.
+  /// that resolves against it; declared before matcher_ so it is
+  /// destroyed after everything referencing it.
   std::unique_ptr<SymbolTable> symbols_;
   /// Privately owned lazy-DFA table cache / document profile — null for
   /// a replica engine bound to an EngineSharedContext (the shared

@@ -58,9 +58,7 @@ enum class DispatchPolicy {
 
 /// EnginePool construction options.
 struct PipelineOptions {
-  /// Options for each worker replica. `engine.threads` composes: each
-  /// replica may itself shard one document's evaluation, so total
-  /// matching threads are workers x threads.
+  /// Options for each worker replica.
   EngineOptions engine;
 
   /// Worker replicas = documents evaluated concurrently. Values below

@@ -1,21 +1,15 @@
 #include "xpstream/engine.h"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 #include <memory>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "analysis/canonical.h"
-#include "common/thread_pool.h"
 #include "planner/auto_matcher.h"
 #include "planner/cost_model.h"
 #include "stream/dfa_table_cache.h"
 #include "stream/engine_registry.h"
 #include "stream/matcher.h"
-#include "stream/sharded_matcher.h"
 #include "xml/parser.h"
 #include "xml/symbol_table.h"
 #include "xpath/ast.h"
@@ -32,14 +26,12 @@ struct Engine::SinkRelay : MatchSink {
   Engine* engine;
 };
 
-Engine::Engine(EngineOptions options, std::shared_ptr<ThreadPool> pool,
-               std::unique_ptr<SymbolTable> symbols,
+Engine::Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
                std::unique_ptr<DfaTableCache> owned_dfa_tables,
                std::unique_ptr<DocumentProfile> owned_profile,
                const EngineSharedContext& effective,
                std::unique_ptr<Matcher> matcher)
     : options_(std::move(options)),
-      pool_(std::move(pool)),
       symbols_(std::move(symbols)),
       owned_dfa_tables_(std::move(owned_dfa_tables)),
       owned_profile_(std::move(owned_profile)),
@@ -55,42 +47,20 @@ Engine::~Engine() = default;
 
 namespace {
 
-/// Builds the matcher stack for `options`: the bare registry engine at
-/// threads = 1, a ShardedMatcher wrapping it otherwise. Shared by
-/// Engine::Create and CompactSubscriptions (which rebuilds into the
-/// same pipeline context).
-Result<std::unique_ptr<Matcher>> BuildMatcher(
-    const EngineOptions& options, const std::shared_ptr<ThreadPool>& pool,
-    const PipelineContext& context) {
+/// Builds the matcher for `options`. Shared by Engine::Create and
+/// CompactSubscriptions (which rebuilds into the same pipeline context).
+Result<std::unique_ptr<Matcher>> BuildMatcher(const EngineOptions& options,
+                                              const PipelineContext& context) {
   // "auto" is a routing policy over registry engines, not a registry
   // engine itself (it must not show up in AvailableEngines()), so the
-  // facade resolves it here: the planner-backed AutoMatcher at
-  // threads = 1, one AutoMatcher per shard otherwise.
-  std::unique_ptr<Matcher> matcher;
-  if (options.threads == 1) {
-    auto created =
-        options.engine == "auto"
-            ? CreateAutoMatcher(context)
-            : EngineRegistry::Global().CreateMatcher(options.engine, context);
-    if (!created.ok()) return created.status();
-    matcher = std::move(created).value();
-  } else {
-    auto sharded =
-        options.engine == "auto"
-            ? ShardedMatcher::Create(
-                  "auto",
-                  [](const PipelineContext& shard_context) {
-                    return CreateAutoMatcher(shard_context);
-                  },
-                  options.threads, pool, context)
-            : ShardedMatcher::Create(options.engine, options.threads, pool,
-                                     context);
-    if (!sharded.ok()) return sharded.status();
-    matcher = std::move(sharded).value();
-  }
-  // The per-slot commitment cut, in whatever stack was built: composite
-  // matchers forward it to their shards and members.
-  matcher->EnableShortCircuit(options.short_circuit);
+  // facade resolves it here to the planner-backed AutoMatcher.
+  auto matcher =
+      options.engine == "auto"
+          ? AutoMatcher::Create(context)
+          : EngineRegistry::Global().CreateMatcher(options.engine, context);
+  if (!matcher.ok()) return matcher.status();
+  // The per-slot commitment cut; AutoMatcher forwards it to its members.
+  (*matcher)->EnableShortCircuit(options.short_circuit);
   return matcher;
 }
 
@@ -102,17 +72,11 @@ Result<std::unique_ptr<Engine>> Engine::Create(const EngineOptions& options) {
 
 Result<std::unique_ptr<Engine>> Engine::Create(
     const EngineOptions& options, const EngineSharedContext& shared) {
-  EngineOptions resolved = options;
-  if (resolved.threads == 0) {
-    resolved.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (resolved.batch_size == 0) resolved.batch_size = 1;
-
   // One SymbolTable per engine pipeline: the facade's parser interns
   // into it, subscriptions resolve their node tests against it, and the
-  // matcher (every shard of it) dispatches on its ids. It is never
-  // shared across pool replicas — interning is single-threaded by
-  // design. The DfaTableCache and DocumentProfile *are* shareable: when
+  // matcher dispatches on its ids. It is never shared across pool
+  // replicas — interning is single-threaded by design. The
+  // DfaTableCache and DocumentProfile *are* shareable: when
   // the caller supplies them (an EnginePool wiring up replicas) this
   // engine borrows; otherwise it owns private equivalents.
   auto symbols = std::make_unique<SymbolTable>();
@@ -126,26 +90,20 @@ Result<std::unique_ptr<Engine>> Engine::Create(
   if (effective.profile == nullptr) {
     // The pipeline's document profile starts as the caller's asserted
     // workload shape; observed documents take over at the first boundary.
-    owned_profile = std::make_unique<DocumentProfile>(resolved.assumed_profile);
+    owned_profile = std::make_unique<DocumentProfile>(options.assumed_profile);
     effective.profile = owned_profile.get();
     effective.profile_mutex = nullptr;  // private profile needs no lock
   }
 
-  std::shared_ptr<ThreadPool> pool;
-  if (resolved.threads > 1) {
-    // threads-1 pool workers: the dispatching thread participates in
-    // every shard replay, so N threads in total drive N shards.
-    pool = std::make_shared<ThreadPool>(resolved.threads - 1);
-  }
   PipelineContext context;
   context.symbols = symbols.get();
   context.dfa_tables = effective.dfa_tables;
   context.profile = effective.profile;
-  auto matcher = BuildMatcher(resolved, pool, context);
+  auto matcher = BuildMatcher(options, context);
   if (!matcher.ok()) return matcher.status();
   return std::unique_ptr<Engine>(
-      new Engine(std::move(resolved), std::move(pool), std::move(symbols),
-                 std::move(owned_dfa), std::move(owned_profile), effective,
+      new Engine(options, std::move(symbols), std::move(owned_dfa),
+                 std::move(owned_profile), effective,
                  std::move(matcher).value()));
 }
 
@@ -344,7 +302,7 @@ Status Engine::CompactSubscriptions() {
   context.symbols = symbols_.get();
   context.dfa_tables = dfa_tables_;
   context.profile = profile_;
-  auto fresh = BuildMatcher(options_, pool_, context);
+  auto fresh = BuildMatcher(options_, context);
   if (!fresh.ok()) return fresh.status();
 
   // Re-subscribe the live slots densely, in old slot order. Everything
@@ -563,10 +521,9 @@ const std::vector<size_t>& Engine::last_decided_at() const {
 }
 
 Status Engine::CheckShape(const Event& event) {
-  // Without the cut the engines validate stream shape (a sharded
-  // matcher only at dispatch, hence the underflow clamp). Under it,
-  // the engines still fed may not check what a cut one would have, so
-  // the facade rejects a malformed tail itself. (Byte input
+  // Without the cut the engines validate stream shape themselves. Under
+  // it, the engines still fed may not check what a cut one would have,
+  // so the facade rejects a malformed tail itself. (Byte input
   // additionally passes the full XmlParser validation.)
   switch (event.type) {
     case EventType::kStartElement:
@@ -638,9 +595,8 @@ void Engine::FinalizeDocument() {
 }
 
 Status Engine::OnEvent(const Event& event) {
-  // The old FilterSession contract, folded into the facade: reset the
-  // matcher at each document start, harvest verdicts and fold peak
-  // gauges at each document end — plus push delivery and the
+  // Reset the matcher at each document start, harvest verdicts and fold
+  // peak gauges at each document end — plus push delivery and the
   // short-circuit skip path.
   switch (event.type) {
     case EventType::kStartDocument:
@@ -703,7 +659,7 @@ Status Engine::OnEvent(const Event& event) {
         XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
         // Per-event streaming keeps push delivery synchronous:
         // everything the matcher decided at this event flushes before
-        // the next one. (The batch path flushes on ordinal advance.)
+        // the next one.
         if (result_sink_ != nullptr) FlushPendingMatches();
       }
       ++event_ordinal_;
@@ -720,73 +676,9 @@ Status Engine::OnEvent(const Event& event) {
   }
 }
 
-namespace {
-
-/// True when `events` is exactly one document envelope: startDocument
-/// first, endDocument last, no interior document boundaries. Element
-/// balance is left to the engines (a sharded matcher reports it at
-/// dispatch, matching the per-event path's behavior) and, under the
-/// cut, to the facade's CheckShape.
-bool IsSingleDocumentEnvelope(const EventStream& events) {
-  if (events.size() < 2 ||
-      events.front().type != EventType::kStartDocument ||
-      events.back().type != EventType::kEndDocument) {
-    return false;
-  }
-  for (size_t i = 1; i + 1 < events.size(); ++i) {
-    if (events[i].type == EventType::kStartDocument ||
-        events[i].type == EventType::kEndDocument) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<std::vector<bool>> Engine::FilterEventsBatch(
-    const EventStream& events) {
-  // Borrowed-batch replay: the whole span goes to the matcher, which
-  // replays it without copying (ShardedMatcher overrides OnDocument).
-  // The span is only borrowed for the duration of the call.
-  in_document_ = true;
-  short_circuited_ = false;
-  element_depth_ = 0;
-  event_ordinal_ = events.size() - 1;  // the endDocument ordinal
-  matched_count_ = 0;
-  decided_at_.assign(slots_.size(), kNoEventOrdinal);
-  pending_matches_.clear();
-  pending_ordinal_ = 0;
-  collector_.Reset();
-  Status status;
-  for (const Event& event : events) {
-    collector_.OnEvent(event);
-    if (status.ok()) status = CheckShape(event);
-  }
-  if (status.ok()) status = matcher_->OnDocument(events);
-  if (!status.ok()) {
-    AbortDocument();
-    return status;
-  }
-  auto verdicts = matcher_->Verdicts();
-  if (!verdicts.ok()) {
-    AbortDocument();
-    return verdicts.status();
-  }
-  slot_verdicts_ = std::move(verdicts).value();
-  FinalizeDocument();
-  return last_verdicts();
-}
-
 Result<std::vector<bool>> Engine::FilterEvents(const EventStream& events) {
-  if (in_document_) {
+  if (parser_ != nullptr || in_document_) {
     return Status::InvalidArgument("a document is already being consumed");
-  }
-  if (parser_ != nullptr) {
-    return Status::InvalidArgument("a document is already being consumed");
-  }
-  if (pool_ != nullptr && IsSingleDocumentEnvelope(events)) {
-    return FilterEventsBatch(events);
   }
   for (const Event& event : events) {
     Status status = OnEvent(event);
@@ -800,79 +692,6 @@ Result<std::vector<bool>> Engine::FilterEvents(const EventStream& events) {
     return Status::NotWellFormed("event stream ended mid-document");
   }
   return last_verdicts();
-}
-
-namespace {
-
-/// Parses one whole XML document into its SAX event batch. Deliberately
-/// without a SymbolTable: these parses run concurrently on pool workers
-/// and the table is single-threaded by design — names resolve later, on
-/// the match thread (once per event, before any shard fan-out). Returns
-/// the owning EventBuffer form: the events outlive the parse task, so
-/// they must carry their backing storage with them.
-Result<EventBuffer> ParseToEvents(const std::string& xml) {
-  return ParseXmlToEvents(xml);
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<bool>>> Engine::FilterDocuments(
-    const std::vector<std::string>& xmls) {
-  if (parser_ != nullptr || in_document_) {
-    return Status::InvalidArgument("a document is already being consumed");
-  }
-  std::vector<std::vector<bool>> verdicts;
-  verdicts.reserve(xmls.size());
-
-  if (pool_ == nullptr || xmls.size() < 2) {
-    for (const std::string& xml : xmls) {
-      auto document = FilterXml(xml);
-      if (!document.ok()) return document.status();
-      verdicts.push_back(std::move(document).value());
-    }
-    return verdicts;
-  }
-
-  // Pipeline: up to batch_size upcoming documents parse on the pool
-  // while the calling thread matches earlier ones (matching itself fans
-  // out across the same pool's workers shard by shard).
-  using ParseSlot = std::optional<Result<EventBuffer>>;
-  std::deque<std::pair<std::shared_ptr<ParseSlot>, std::future<void>>> inflight;
-  size_t next = 0;
-  auto submit = [&] {
-    auto slot = std::make_shared<ParseSlot>();
-    const std::string* xml = &xmls[next++];
-    std::future<void> done =
-        pool_->Submit([slot, xml] { slot->emplace(ParseToEvents(*xml)); });
-    inflight.emplace_back(std::move(slot), std::move(done));
-  };
-
-  // On an early error the remaining parses must finish before returning:
-  // their tasks hold pointers into the caller's xmls.
-  auto fail = [&](Status status) -> Status {
-    for (auto& entry : inflight) entry.second.wait();
-    return status;
-  };
-
-  const size_t lookahead = std::max<size_t>(1, options_.batch_size);
-  while (next < xmls.size() && inflight.size() < lookahead) submit();
-  while (!inflight.empty()) {
-    auto [slot, done] = std::move(inflight.front());
-    inflight.pop_front();
-    done.wait();
-    if (next < xmls.size()) submit();  // keep the parse pipeline full
-    if (!slot->has_value()) {
-      // The parse task died before storing a result (it threw, e.g.
-      // bad_alloc); the exception sits in the discarded future.
-      return fail(Status::Internal("document parse task failed"));
-    }
-    Result<EventBuffer>& parsed = **slot;
-    if (!parsed.ok()) return fail(parsed.status());
-    auto document = FilterEvents(parsed.value().events());
-    if (!document.ok()) return fail(document.status());
-    verdicts.push_back(std::move(document).value());
-  }
-  return verdicts;
 }
 
 Result<bool> Engine::Matched(std::string_view id) const {

@@ -34,16 +34,9 @@ AutoMatcher::AutoMatcher(const PipelineContext& context) : context_(context) {
   context_.symbols = symbols();
 }
 
-Result<std::unique_ptr<AutoMatcher>> AutoMatcher::Create(
+Result<std::unique_ptr<Matcher>> AutoMatcher::Create(
     const PipelineContext& context) {
-  return std::unique_ptr<AutoMatcher>(new AutoMatcher(context));
-}
-
-Result<std::unique_ptr<Matcher>> CreateAutoMatcher(
-    const PipelineContext& context) {
-  auto matcher = AutoMatcher::Create(context);
-  if (!matcher.ok()) return matcher.status();
-  return std::unique_ptr<Matcher>(std::move(matcher).value());
+  return std::unique_ptr<Matcher>(new AutoMatcher(context));
 }
 
 std::string AutoMatcher::EngineForSlot(size_t slot) const {
@@ -139,8 +132,8 @@ void AutoMatcher::FlushPending() {
 
 Status AutoMatcher::OnSymbolizedEvent(const Event& event, Symbol name_sym) {
   if (event.type == EventType::kStartDocument) {
-    // Mirror ShardedMatcher: the facade resets before startDocument,
-    // direct callers get the guarantee here.
+    // The facade resets before startDocument; direct callers get the
+    // guarantee here.
     XPS_RETURN_IF_ERROR(Reset());
   }
   for (Member& member : members_) {
@@ -163,26 +156,6 @@ Result<std::vector<bool>> AutoMatcher::Verdicts() const {
     }
   }
   return verdicts;
-}
-
-std::vector<size_t> AutoMatcher::DecidedPositions() const {
-  std::vector<size_t> positions(routes_.size(), kNoEventOrdinal);
-  for (const Member& member : members_) {
-    if (member.local_to_global.empty()) continue;
-    const std::vector<size_t> local = member.matcher->DecidedPositions();
-    for (size_t i = 0; i < member.local_to_global.size(); ++i) {
-      if (i < local.size()) positions[member.local_to_global[i]] = local[i];
-    }
-  }
-  return positions;
-}
-
-bool AutoMatcher::AllDecided() const {
-  for (const Member& member : members_) {
-    if (member.local_to_global.empty()) continue;
-    if (!member.matcher->AllDecided()) return false;
-  }
-  return true;
 }
 
 void AutoMatcher::EnableShortCircuit(bool on) {

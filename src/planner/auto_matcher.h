@@ -6,9 +6,9 @@
 /// subscription with the planner (PlanQuery against the pipeline's
 /// DocumentProfile) and subscribes it on the predicted-cheapest member
 /// engine that accepts it. Members are real registry engines, created
-/// lazily on first use and fed every event in lockstep; verdicts,
-/// decided positions, sink reports and stats are merged back into the
-/// caller's global slot space.
+/// lazily on first use and fed every event in lockstep; verdicts, sink
+/// reports and stats are merged back into the caller's global slot
+/// space.
 ///
 /// Deliberately *not* registered in the EngineRegistry: "auto" is a
 /// policy over engines, not an engine, and keeping it out of
@@ -30,7 +30,7 @@ class AutoMatcher : public Matcher {
   /// `context`'s SymbolTable (or the matcher's private one) and
   /// DfaTableCache, and every Subscribe consults `context.profile`
   /// (assumed defaults when null).
-  static Result<std::unique_ptr<AutoMatcher>> Create(
+  static Result<std::unique_ptr<Matcher>> Create(
       const PipelineContext& context);
 
   std::string name() const override { return "auto"; }
@@ -41,8 +41,6 @@ class AutoMatcher : public Matcher {
   Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<std::vector<bool>> Verdicts() const override;
-  std::vector<size_t> DecidedPositions() const override;
-  bool AllDecided() const override;
   void EnableShortCircuit(bool on) override;
   void PublishShared() override;
   const MemoryStats& stats() const override;
@@ -77,11 +75,6 @@ class AutoMatcher : public Matcher {
   std::vector<std::pair<size_t, size_t>> pending_;  ///< (ordinal, slot)
   mutable MemoryStats stats_;  // aggregated over members on demand
 };
-
-/// Factory with the MatcherFactory shape, for BuildMatcher and
-/// ShardedMatcher composition ("auto" inside every shard).
-Result<std::unique_ptr<Matcher>> CreateAutoMatcher(
-    const PipelineContext& context);
 
 }  // namespace xpstream
 

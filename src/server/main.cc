@@ -2,8 +2,8 @@
 // Engine behind the TCP protocol of docs/protocol.md; runs until
 // SIGINT/SIGTERM, then shuts down gracefully (exit 0).
 //
-//   $ xpstreamd --port 7845 --engine frontier --threads 1
-//   xpstreamd listening on 127.0.0.1:7845 (engine=frontier, threads=1)
+//   $ xpstreamd --port 7845 --engine frontier
+//   xpstreamd listening on 127.0.0.1:7845 (engine=frontier, workers=1)
 
 #include <cerrno>
 #include <climits>
@@ -48,14 +48,14 @@ bool ParseUnsigned(const char* text, uint64_t max_value, uint64_t* out) {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--address A] [--port N] [--engine NAME] [--threads N]\n"
+      "usage: %s [--address A] [--port N] [--engine NAME]\n"
       "          [--pipeline-workers N] [--doc-queue-depth N]\n"
       "          [--max-document-bytes N] [--max-frame-bytes N]\n"
       "          [--max-element-depth N] [--max-entity-expansion-bytes N]\n"
       "          [--outbox-frames N] [--max-connections N]\n"
       "          [--idle-timeout-ms N] [--memory-budget-bytes N]\n"
       "          [--admission reject|degrade]\n"
-      "defaults: 127.0.0.1, ephemeral port, frontier, 1 thread\n"
+      "defaults: 127.0.0.1, ephemeral port, frontier, 1 worker\n"
       "--pipeline-workers N >= 2 runs an EnginePool of N replicas so many\n"
       "publishers stream documents concurrently (DOC_OK acks then precede\n"
       "the document's MATCH/DOC_DONE pushes); --doc-queue-depth bounds the\n"
@@ -91,9 +91,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--port") {
       if (!ParseUnsigned(value, 65535, &number)) return Usage(argv[0]);
       options.port = static_cast<uint16_t>(number);
-    } else if (arg == "--threads") {
-      if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
-      options.engine.threads = static_cast<size_t>(number);
     } else if (arg == "--max-document-bytes") {
       if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
       options.max_document_bytes = static_cast<size_t>(number);
@@ -160,10 +157,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "xpstreamd listening on %s:%u (engine=%s, threads=%zu, workers=%zu)\n",
+      "xpstreamd listening on %s:%u (engine=%s, workers=%zu)\n",
       options.bind_address.c_str(), (*server)->port(),
-      options.engine.engine.c_str(), options.engine.threads,
-      options.pipeline_workers);
+      options.engine.engine.c_str(), options.pipeline_workers);
   std::fflush(stdout);
 
   char byte;

@@ -3,10 +3,10 @@
 
 /// \file
 /// Read-mostly sharing of lazily determinized transition tables across
-/// the consumers of one pipeline (the shards of a ShardedMatcher, a
-/// compaction rebuild's fresh filters). Before this cache each shard's
-/// LazyDfaFilter re-materialized the same DFA from scratch — N shards,
-/// N copies of an identical table.
+/// the consumers of one pipeline (the replicas of an EnginePool, a
+/// compaction rebuild's fresh filters). Without it each replica's
+/// LazyDfaFilter would re-materialize the same DFA from scratch — N
+/// replicas, N copies of an identical table.
 ///
 /// Tables are keyed by the query's canonical key (analysis/canonical):
 /// lazy_dfa accepts only linear path queries, where an equal canonical
@@ -18,8 +18,8 @@
 /// Concurrency: Publish/Lookup are mutex-guarded; published tables are
 /// immutable (shared_ptr<const>). Filters snapshot a base table at
 /// creation, grow a *private* overlay during matching (lock-free), and
-/// fold it back via PublishShared on the dispatch thread only — shards
-/// never write anything another thread reads (TSan-checked).
+/// fold it back via PublishShared only while their engine is between
+/// documents — no thread ever reads another's overlay (TSan-checked).
 
 #include <cstdint>
 #include <map>

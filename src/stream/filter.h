@@ -39,8 +39,8 @@ class StreamFilter : public EventSink {
   /// The per-event hot path every engine implements. `name_sym` is the
   /// event's name resolved against symbols() (kNoSymbol for nameless
   /// events); engines dispatch on it with integer compares only. When a
-  /// caller (FilterBankMatcher, ShardedMatcher) resolves once for many
-  /// consumers, all of them must share this filter's table.
+  /// caller (FilterBankMatcher) resolves once for many consumers, all
+  /// of them must share this filter's table.
   virtual Status OnSymbolizedEvent(const Event& event, Symbol name_sym) = 0;
 
   /// The SymbolTable this filter's query node tests are resolved

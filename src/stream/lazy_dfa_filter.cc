@@ -218,7 +218,8 @@ void LazyDfaFilter::MaterializeFully() {
 void RegisterLazyDfaEngine(EngineRegistry& registry) {
   // Hand-written (not RegisterFilterBankEngine): the filter factory
   // additionally threads the pipeline's DfaTableCache into each member
-  // filter, so shards and compaction rebuilds share transition tables.
+  // filter, so pool replicas and compaction rebuilds share transition
+  // tables.
   Status status = registry.Register(
       "lazy_dfa",
       [](const PipelineContext& context)

@@ -112,7 +112,7 @@ class LazyDfaFilter : public StreamFilter {
   int alphabet_size_ = 0;             // local ids are 1..alphabet_size_
 
   /// Immutable shared snapshot (nullptr when cacheless or never
-  /// published); read-only here, so shards can share it lock-free.
+  /// published); read-only here, so replicas can share it lock-free.
   std::shared_ptr<const LazyDfaTable> base_;
   DfaTableCache* cache_ = nullptr;
   std::string cache_key_;

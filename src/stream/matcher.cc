@@ -2,13 +2,6 @@
 
 namespace xpstream {
 
-Status Matcher::OnDocument(const EventStream& events) {
-  for (const Event& event : events) {
-    XPS_RETURN_IF_ERROR(OnEvent(event));
-  }
-  return Status::OK();
-}
-
 Status FilterBankMatcher::Subscribe(size_t slot, const Query* query) {
   if (slot != filters_.size()) {
     return Status::InvalidArgument("subscription slots must be dense");
@@ -33,15 +26,9 @@ Status FilterBankMatcher::Unsubscribe(size_t slot) {
 
 void FilterBankMatcher::ResetDecisions() {
   decided_.assign(filters_.size(), kLive);
-  decided_count_ = 0;
   fed_.clear();
   for (size_t slot = 0; slot < filters_.size(); ++slot) {
-    if (filters_[slot] != nullptr) {
-      fed_.push_back(slot);
-    } else {
-      decided_[slot] = kSettled;
-      ++decided_count_;
-    }
+    if (filters_[slot] != nullptr) fed_.push_back(slot);
   }
 }
 
@@ -71,7 +58,6 @@ Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
     const size_t position =
         decided_[slot] == kLive ? filter->DecidedAt() : kNoEventOrdinal;
     if (position != kNoEventOrdinal) {
-      ++decided_count_;
       if (at_end) {
         // At endDocument the remaining filters decide, false or true.
         decided_[slot] = kSettled;
@@ -94,16 +80,6 @@ Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
     ++i;
   }
   return Status::OK();
-}
-
-std::vector<size_t> FilterBankMatcher::DecidedPositions() const {
-  std::vector<size_t> positions;
-  positions.reserve(filters_.size());
-  for (const auto& filter : filters_) {
-    positions.push_back(filter == nullptr ? kNoEventOrdinal
-                                          : filter->DecidedAt());
-  }
-  return positions;
 }
 
 Result<std::vector<bool>> FilterBankMatcher::Verdicts() const {

@@ -34,11 +34,11 @@ class DfaTableCache;  // stream/dfa_table_cache.h
 class Query;          // xpath/ast.h
 
 /// Shared per-pipeline structure handed to matcher factories: every
-/// shard and member filter of one Engine resolves names against the
-/// same SymbolTable, and engines that memoize query-shaped tables
-/// (lazy_dfa's transition tables) share them through the cache so a
-/// compaction rebuild or a re-sharding never starts cold. Either
-/// pointer may be null — the component then owns a private equivalent.
+/// member filter of one Engine resolves names against the same
+/// SymbolTable, and engines that memoize query-shaped tables (lazy_dfa's
+/// transition tables) share them through the cache so a compaction
+/// rebuild or a pool replica never starts cold. Either pointer may be
+/// null — the component then owns a private equivalent.
 struct PipelineContext {
   SymbolTable* symbols = nullptr;
   DfaTableCache* dfa_tables = nullptr;
@@ -56,9 +56,8 @@ struct PipelineContext {
 /// monotone, so a slot is reported at most once per document; false
 /// verdicts are never reported (they only decide at endDocument and are
 /// read from Verdicts()). Reports arrive in nondecreasing ordinal
-/// order, ascending slot within one ordinal — ShardedMatcher's merge
-/// reproduces exactly this order, making sink delivery bit-identical to
-/// a single-threaded run.
+/// order, ascending slot within one ordinal; AutoMatcher restores this
+/// order across its members.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -78,9 +77,8 @@ class Matcher : public EventSink {
 
   /// The concrete algorithm evaluating `slot`. For ordinary matchers
   /// this is name(); routing matchers (the planner's "auto"
-  /// meta-engine) answer per slot, and ShardedMatcher forwards to the
-  /// owning shard, so the facade can report the decision regardless of
-  /// the matcher stack's shape. `slot` must be a subscribed slot.
+  /// meta-engine) answer per slot, so the facade can report the
+  /// decision either way. `slot` must be a subscribed slot.
   virtual std::string EngineForSlot(size_t slot) const {
     (void)slot;
     return name();
@@ -110,8 +108,7 @@ class Matcher : public EventSink {
   }
 
   /// Total slots ever subscribed, including tombstoned ones (the width
-  /// of Verdicts()/DecidedPositions() and the next dense Subscribe
-  /// slot).
+  /// of Verdicts() and the next dense Subscribe slot).
   virtual size_t NumSubscriptions() const = 0;
 
   /// Folds privately accumulated shareable structure (a lazy DFA's
@@ -129,9 +126,8 @@ class Matcher : public EventSink {
   /// matched), the matcher may stop feeding it the rest of that
   /// document. Verdicts, decided positions and sink reports stay those
   /// of a full scan; per-slot gauges stop at the commitment, so peaks
-  /// are at most a full scan's. Off by default. Composite matchers
-  /// forward the setting to their parts (ShardedMatcher to its shards,
-  /// AutoMatcher to its members, including members created later).
+  /// are at most a full scan's. Off by default. AutoMatcher forwards
+  /// the setting to its members, including members created later.
   /// Must not be called between startDocument and endDocument.
   virtual void EnableShortCircuit(bool on) { short_circuit_ = on; }
 
@@ -150,34 +146,14 @@ class Matcher : public EventSink {
   /// serves every subscription.
   virtual Status OnSymbolizedEvent(const Event& event, Symbol name_sym) = 0;
 
-  /// Batch entry point: one whole pre-parsed document (startDocument
-  /// first, endDocument last — the facade validates the envelope). The
-  /// default replays event by event; ShardedMatcher overrides it to
-  /// replay the caller-owned span without copying it into a batch. The
-  /// span is only borrowed for the duration of the call.
-  virtual Status OnDocument(const EventStream& events);
-
   /// The SymbolTable this matcher's subscriptions resolve against: the
-  /// pipeline table bound at creation (shared with the parser and, for
-  /// sharded engines, with every shard), or a private one when created
-  /// standalone.
+  /// pipeline table bound at creation (shared with the parser), or a
+  /// private one when created standalone.
   SymbolTable* symbols() { return symbols_.get(); }
 
   /// Per-slot verdicts; valid only after endDocument was consumed.
+  /// Decided positions reach the owner through the MatchSink.
   virtual Result<std::vector<bool>> Verdicts() const = 0;
-
-  /// Per-slot event ordinals at which verdicts became provably decided
-  /// (matches: the deciding event, non-matches: the endDocument
-  /// ordinal); kNoEventOrdinal for slots still undecided. Unlike
-  /// Verdicts() this is readable mid-document — the short-circuit path
-  /// harvests positions from matchers that never see endDocument.
-  virtual std::vector<size_t> DecidedPositions() const = 0;
-
-  /// True when every slot's verdict is already provably decided — all
-  /// slots matched so far, since non-matches only decide at
-  /// endDocument. The short-circuit lever: once true, the remaining
-  /// events of the document cannot change any verdict.
-  virtual bool AllDecided() const = 0;
 
   /// Memory accounting for the current/most recent document. For a
   /// filter bank this is the sum over member filters (peaks sum to an
@@ -227,10 +203,6 @@ class FilterBankMatcher : public Matcher {
   Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<std::vector<bool>> Verdicts() const override;
-  std::vector<size_t> DecidedPositions() const override;
-  bool AllDecided() const override {
-    return decided_count_ == filters_.size();
-  }
   void PublishShared() override;
   const MemoryStats& stats() const override;
 
@@ -239,12 +211,11 @@ class FilterBankMatcher : public Matcher {
   enum : uint8_t {
     kLive = 0,       ///< verdict still open
     kCommitted = 1,  ///< decided mid-document: a match (the cut point)
-    kSettled = 2,    ///< decided at endDocument, or tombstoned
+    kSettled = 2,    ///< decided at endDocument
   };
 
-  /// Clears per-document decision bookkeeping. Tombstoned slots start
-  /// settled and unfed (they can never report), so AllDecided keeps
-  /// meaning "nothing left that could change".
+  /// Clears per-document decision bookkeeping. Tombstoned slots are
+  /// not fed (they can never report).
   void ResetDecisions();
 
   std::string name_;
@@ -253,7 +224,6 @@ class FilterBankMatcher : public Matcher {
   /// (unsubscribed — it evaluates nothing and reads as a non-match).
   std::vector<std::unique_ptr<StreamFilter>> filters_;
   std::vector<uint8_t> decided_;  ///< per-slot decision state (enum above)
-  size_t decided_count_ = 0;      ///< slots not kLive
   /// Slots the current document still feeds, ascending: every live
   /// slot at document start (Unsubscribe is barred mid-document), minus
   /// those the cut removed at their commitment.

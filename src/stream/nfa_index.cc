@@ -148,10 +148,8 @@ Status NfaIndexRun::Reset() {
   depth_ = 0;
   active_entries_ = 0;
   done_ = false;
-  matched_count_ = 0;
   ordinal_ = 0;
   verdicts_.assign(index_->max_id_ + 1, false);
-  decided_at_.assign(index_->max_id_ + 1, kNoEventOrdinal);
   newly_.clear();
   // Queries may be added between documents; re-size the membership
   // stamps to the current automaton (fresh stamps are 0 = never seen).
@@ -187,8 +185,6 @@ Status NfaIndexRun::OnSymbolizedEvent(const Event& event, Symbol name_sym) {
   auto mark = [&](size_t id) {
     if (verdicts_[id]) return;
     verdicts_[id] = true;
-    decided_at_[id] = ordinal_;
-    ++matched_count_;
     if (sink_ != nullptr) newly_.push_back(id);
   };
   auto accept = [&](int state) {
@@ -216,10 +212,6 @@ Status NfaIndexRun::OnSymbolizedEvent(const Event& event, Symbol name_sym) {
     }
     case EventType::kEndDocument:
       done_ = true;
-      // Queries never accepted decide false at the endDocument event.
-      for (size_t& position : decided_at_) {
-        if (position == kNoEventOrdinal) position = ordinal_;
-      }
       stats_.automaton_states().Set(states.size());
       break;
     case EventType::kStartElement: {
@@ -323,7 +315,6 @@ class NfaIndexMatcher : public Matcher {
     // the run's recycled storage stays valid.
     index_.RemoveQuery(slot);
     tombstoned_[slot] = 1;
-    ++tombstone_count_;
     return Status::OK();
   }
 
@@ -347,18 +338,6 @@ class NfaIndexMatcher : public Matcher {
     return verdicts;
   }
 
-  std::vector<size_t> DecidedPositions() const override {
-    std::vector<size_t> positions = run_.DecidedPositions();
-    positions.resize(subscriptions_, kNoEventOrdinal);
-    return positions;
-  }
-
-  bool AllDecided() const override {
-    // Tombstoned slots cannot accept (their ids were removed from every
-    // accept list), so "everything live matched" is the decided point.
-    return run_.NumMatched() + tombstone_count_ >= subscriptions_;
-  }
-
   const MemoryStats& stats() const override { return run_.stats(); }
 
  private:
@@ -366,7 +345,6 @@ class NfaIndexMatcher : public Matcher {
   NfaIndexRun run_;
   size_t subscriptions_ = 0;
   std::vector<uint8_t> tombstoned_;  ///< per-slot tombstone flags
-  size_t tombstone_count_ = 0;
 };
 
 }  // namespace

@@ -168,14 +168,6 @@ class NfaIndexRun : public EventSink {
   /// endDocument.
   Result<std::vector<bool>> Verdicts() const;
 
-  /// Per-query decided positions: the ordinal of the first accepting
-  /// event, or the endDocument ordinal for queries that never match;
-  /// kNoEventOrdinal while undecided. Readable mid-document.
-  const std::vector<size_t>& DecidedPositions() const { return decided_at_; }
-
-  /// Queries accepted so far in the current document.
-  size_t NumMatched() const { return matched_count_; }
-
   /// Active-set entries across the stack, peak automaton size.
   const MemoryStats& stats() const { return stats_; }
 
@@ -193,10 +185,8 @@ class NfaIndexRun : public EventSink {
 
   NfaIndex* index_;  ///< non-const for lazy name interning in OnEvent
   std::vector<bool> verdicts_;
-  std::vector<size_t> decided_at_;  ///< per-query-id decided ordinal
-  std::vector<size_t> newly_;       ///< scratch: ids accepted this event
-  size_t matched_count_ = 0;
-  size_t ordinal_ = 0;  ///< ordinal of the event being consumed
+  std::vector<size_t> newly_;  ///< scratch: ids accepted this event
+  size_t ordinal_ = 0;         ///< ordinal of the event being consumed
   MatchSink* sink_ = nullptr;
   /// Active sets for the open elements; only the first depth_ entries
   /// are live, deeper ones are recycled storage.

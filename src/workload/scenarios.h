@@ -64,11 +64,11 @@ std::unique_ptr<XmlDocument> GenerateMessageFeed(size_t messages,
 /// recursive structure.
 std::vector<std::string> MessageFeedSubscriptions();
 
-/// The dissemination threads-sweep workload: `num_queries` random
-/// linear-path subscriptions and `num_docs` random documents of depth
-/// ≤ 7, both over the same 4-name pool (fixed seeds). bench_nfa_index
-/// (E10b) and bench_dissemination's threads sweep must measure the
-/// same corpus, so the construction lives here, not in either bench.
+/// The dissemination workload: `num_queries` random linear-path
+/// subscriptions and `num_docs` random documents of depth ≤ 7, both
+/// over the same 4-name pool (fixed seeds). bench_dissemination's
+/// 1024-query rows measure it, and tripbench's dissem-1k workload
+/// follows its shape.
 struct DisseminationSweepWorkload {
   std::vector<std::string> queries;
   std::vector<EventStream> documents;

@@ -11,15 +11,12 @@
 /// ids instead of strings.
 ///
 /// One table is shared per pipeline: the Engine facade owns it, the
-/// XmlParser interns into it as it tokenizes, filters resolve their
-/// query node tests against it at subscription time, and ShardedMatcher
-/// threads the same table through every shard (ids are stable across
-/// shards, so sharded verdicts stay bit-identical to one thread).
+/// XmlParser interns into it as it tokenizes, and filters resolve their
+/// query node tests against it at subscription time. EnginePool
+/// replicas each own a private table.
 ///
 /// Thread-safety: none — all interning happens on the single thread
-/// driving the pipeline (parse / subscribe / dispatch). Shard replay on
-/// pool workers only *reads* pre-resolved symbols; ShardedMatcher
-/// resolves every event of a batch before fanning it out.
+/// driving the pipeline (parse / subscribe / dispatch).
 ///
 /// Representation: ids are dense uint32 in intern order; symbol → name
 /// is a plain vector index (no hashing on resolve), name → symbol is an

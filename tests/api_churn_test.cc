@@ -3,7 +3,7 @@
 //
 // The contracts under test:
 //  * a churning engine (Subscribe/Unsubscribe interleaved with
-//    documents, across every registry engine and thread count) produces
+//    documents, across every registry engine) produces
 //    exactly the verdicts, decided positions and sink callbacks of a
 //    fresh engine holding only the surviving subscriptions;
 //  * N duplicate subscriptions evaluate as one slot plus fan-out —
@@ -54,102 +54,97 @@ DeliveryMode ModeFor(const std::string& id) {
 // The acceptance contract of the churn path: replaying an interleaved
 // Subscribe/Unsubscribe/Compact schedule, every document's verdicts,
 // decided positions and sink deliveries equal those of a fresh engine
-// subscribed to exactly the survivors — for all registry engines at
-// 1, 2 and 4 threads. Along the way: Unsubscribe never increments the
-// rebuild counter, CompactSubscriptions() is the only thing that does.
+// subscribed to exactly the survivors — for all registry engines. Along
+// the way: Unsubscribe never increments the rebuild counter,
+// CompactSubscriptions() is the only thing that does.
 TEST(ApiChurnTest, ChurnMatchesFreshEngineEverywhere) {
   const ChurnWorkload workload = MakeChurnWorkload(12, 4, 6, 2026);
 
   for (const std::string& name : Engine::AvailableEngines()) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      EngineOptions options;
-      options.engine = name;
-      options.threads = threads;
-      auto engine = Engine::Create(options);
-      ASSERT_TRUE(engine.ok()) << name;
-      RecordingSink sink;
-      (*engine)->SetSink(&sink);
+    EngineOptions options;
+    options.engine = name;
+    auto engine = Engine::Create(options);
+    ASSERT_TRUE(engine.ok()) << name;
+    RecordingSink sink;
+    (*engine)->SetSink(&sink);
 
-      std::map<std::string, std::string> live_query;  // id -> query text
-      size_t expected_rebuilds = 0;
-      for (const ChurnWorkload::Op& op : workload.ops) {
-        switch (op.kind) {
-          case ChurnWorkload::OpKind::kSubscribe: {
-            const std::string& query = workload.queries[op.index];
-            ASSERT_TRUE(
-                (*engine)->Subscribe(op.id, query, ModeFor(op.id)).ok())
-                << name << " " << query;
-            live_query[op.id] = query;
-            break;
-          }
-          case ChurnWorkload::OpKind::kUnsubscribe: {
-            ASSERT_TRUE((*engine)->Unsubscribe(op.id).ok())
-                << name << " " << op.id;
-            live_query.erase(op.id);
-            break;
-          }
-          case ChurnWorkload::OpKind::kCompact: {
-            if ((*engine)->tombstoned_slots() > 0) ++expected_rebuilds;
-            ASSERT_TRUE((*engine)->CompactSubscriptions().ok()) << name;
-            EXPECT_EQ((*engine)->tombstoned_slots(), 0u) << name;
-            break;
-          }
-          case ChurnWorkload::OpKind::kDocument: {
-            const EventStream& doc = workload.documents[op.index];
-
-            // The reference: a fresh engine holding only the survivors,
-            // subscribed in the churning engine's id order so verdict
-            // vectors and sink slots align index by index.
-            auto fresh = Engine::Create(options);
-            ASSERT_TRUE(fresh.ok()) << name;
-            RecordingSink fresh_sink;
-            (*fresh)->SetSink(&fresh_sink);
-            for (const std::string& id : (*engine)->subscription_ids()) {
-              ASSERT_TRUE(
-                  (*fresh)
-                      ->Subscribe(id, live_query.at(id), ModeFor(id))
-                      .ok())
-                  << name << " " << id;
-            }
-
-            const size_t sink_matches_before = sink.matches.size();
-            auto verdicts = (*engine)->FilterEvents(doc);
-            ASSERT_TRUE(verdicts.ok()) << name << " threads=" << threads;
-            auto expected = (*fresh)->FilterEvents(doc);
-            ASSERT_TRUE(expected.ok()) << name;
-
-            EXPECT_EQ(*verdicts, *expected)
-                << name << " threads=" << threads << " doc " << op.index;
-            EXPECT_EQ((*engine)->last_decided_at(),
-                      (*fresh)->last_decided_at())
-                << name << " threads=" << threads << " doc " << op.index;
-
-            // Sink parity, modulo the stream-position doc_index (the
-            // fresh engine always sees the document as its first).
-            ASSERT_EQ(sink.matches.size(),
-                      sink_matches_before + fresh_sink.matches.size())
-                << name << " threads=" << threads;
-            for (size_t m = 0; m < fresh_sink.matches.size(); ++m) {
-              const auto& actual = sink.matches[sink_matches_before + m];
-              const auto& reference = fresh_sink.matches[m];
-              EXPECT_EQ(std::get<0>(actual), std::get<0>(reference));
-              EXPECT_EQ(std::get<2>(actual), std::get<2>(reference));
-            }
-            ASSERT_EQ(fresh_sink.documents.size(), 1u);
-            EXPECT_EQ(sink.documents.back().second,
-                      fresh_sink.documents[0].second)
-                << name << " threads=" << threads;
-            break;
-          }
+    std::map<std::string, std::string> live_query;  // id -> query text
+    size_t expected_rebuilds = 0;
+    for (const ChurnWorkload::Op& op : workload.ops) {
+      switch (op.kind) {
+        case ChurnWorkload::OpKind::kSubscribe: {
+          const std::string& query = workload.queries[op.index];
+          ASSERT_TRUE(
+              (*engine)->Subscribe(op.id, query, ModeFor(op.id)).ok())
+              << name << " " << query;
+          live_query[op.id] = query;
+          break;
         }
-        // Tombstoning is O(1) by contract: nothing on the churn path
-        // rebuilds the automaton except an explicit compaction.
-        EXPECT_EQ((*engine)->automaton_rebuilds(), expected_rebuilds)
-            << name << " threads=" << threads;
+        case ChurnWorkload::OpKind::kUnsubscribe: {
+          ASSERT_TRUE((*engine)->Unsubscribe(op.id).ok())
+              << name << " " << op.id;
+          live_query.erase(op.id);
+          break;
+        }
+        case ChurnWorkload::OpKind::kCompact: {
+          if ((*engine)->tombstoned_slots() > 0) ++expected_rebuilds;
+          ASSERT_TRUE((*engine)->CompactSubscriptions().ok()) << name;
+          EXPECT_EQ((*engine)->tombstoned_slots(), 0u) << name;
+          break;
+        }
+        case ChurnWorkload::OpKind::kDocument: {
+          const EventStream& doc = workload.documents[op.index];
+
+          // The reference: a fresh engine holding only the survivors,
+          // subscribed in the churning engine's id order so verdict
+          // vectors and sink slots align index by index.
+          auto fresh = Engine::Create(options);
+          ASSERT_TRUE(fresh.ok()) << name;
+          RecordingSink fresh_sink;
+          (*fresh)->SetSink(&fresh_sink);
+          for (const std::string& id : (*engine)->subscription_ids()) {
+            ASSERT_TRUE(
+                (*fresh)
+                    ->Subscribe(id, live_query.at(id), ModeFor(id))
+                    .ok())
+                << name << " " << id;
+          }
+
+          const size_t sink_matches_before = sink.matches.size();
+          auto verdicts = (*engine)->FilterEvents(doc);
+          ASSERT_TRUE(verdicts.ok()) << name;
+          auto expected = (*fresh)->FilterEvents(doc);
+          ASSERT_TRUE(expected.ok()) << name;
+
+          EXPECT_EQ(*verdicts, *expected) << name << " doc " << op.index;
+          EXPECT_EQ((*engine)->last_decided_at(),
+                    (*fresh)->last_decided_at())
+              << name << " doc " << op.index;
+
+          // Sink parity, modulo the stream-position doc_index (the
+          // fresh engine always sees the document as its first).
+          ASSERT_EQ(sink.matches.size(),
+                    sink_matches_before + fresh_sink.matches.size())
+              << name;
+          for (size_t m = 0; m < fresh_sink.matches.size(); ++m) {
+            const auto& actual = sink.matches[sink_matches_before + m];
+            const auto& reference = fresh_sink.matches[m];
+            EXPECT_EQ(std::get<0>(actual), std::get<0>(reference));
+            EXPECT_EQ(std::get<2>(actual), std::get<2>(reference));
+          }
+          ASSERT_EQ(fresh_sink.documents.size(), 1u);
+          EXPECT_EQ(sink.documents.back().second,
+                    fresh_sink.documents[0].second)
+              << name;
+          break;
+        }
       }
-      EXPECT_EQ((*engine)->NumSubscriptions(), live_query.size()) << name;
-      EXPECT_GE(expected_rebuilds, 1u) << name;  // the planted compact ran
+      // Tombstoning is O(1) by contract: nothing on the churn path
+      // rebuilds the automaton except an explicit compaction.
+      EXPECT_EQ((*engine)->automaton_rebuilds(), expected_rebuilds) << name;
     }
+    EXPECT_EQ((*engine)->NumSubscriptions(), live_query.size()) << name;
+    EXPECT_GE(expected_rebuilds, 1u) << name;  // the planted compact ran
   }
 }
 

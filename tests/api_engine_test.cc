@@ -11,8 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "stream/engine_registry.h"
 #include "stream/nfa_index.h"
+#include "test_util.h"
+#include "workload/doc_generator.h"
+#include "workload/query_generator.h"
+#include "workload/scenarios.h"
 #include "xpath/parser.h"
 
 namespace xpstream {
@@ -138,17 +143,22 @@ TEST(EngineTest, SubscribeCompiledQueryAndLookup) {
 
 // ---- byte-level multi-document streams ------------------------------
 
+// Feeds one whole document in 7-byte chunks, which split tags
+// mid-token.
+void FeedChunked(Engine* engine, const std::string& xml) {
+  for (size_t i = 0; i < xml.size(); i += 7) {
+    ASSERT_TRUE(engine->Feed(xml.substr(i, 7)).ok());
+  }
+  ASSERT_TRUE(engine->FinishDocument().ok());
+}
+
 TEST(EngineTest, MultiDocumentByteStreamWithArbitraryChunking) {
   auto engine = MustCreate("frontier");
   ASSERT_TRUE(engine->Subscribe("cheap", "/book[price < 30]").ok());
   ASSERT_TRUE(engine->Subscribe("titled", "/book/title").ok());
 
-  // Document 1, fed in chunks that split tags mid-token.
-  const std::string doc1 = kBookXml;
-  for (size_t i = 0; i < doc1.size(); i += 7) {
-    ASSERT_TRUE(engine->Feed(doc1.substr(i, 7)).ok());
-  }
-  ASSERT_TRUE(engine->FinishDocument().ok());
+  // Document 1, fed in chunks.
+  FeedChunked(engine.get(), kBookXml);
 
   // Document 2 on the same engine: expensive and untitled.
   ASSERT_TRUE(engine->Feed("<book><price>99</price></book>").ok());
@@ -162,6 +172,79 @@ TEST(EngineTest, MultiDocumentByteStreamWithArbitraryChunking) {
   EXPECT_FALSE(engine->history()[1][1]);
   EXPECT_FALSE(*engine->Matched("cheap"));
   EXPECT_GT(engine->peak_table_entries(), 0u);
+
+  // No state leaks between documents: one has b, the next has c, and
+  // neither alone satisfies both.
+  auto split = MustCreate("frontier");
+  ASSERT_TRUE(split->Subscribe("bc", "/a[b and c]").ok());
+  const std::vector<std::string> session =
+      testutil::LoadTestDataLines("session_ab.xml");
+  ASSERT_GE(session.size(), 2u);
+  FeedChunked(split.get(), session[0]);
+  FeedChunked(split.get(), session[1]);
+  EXPECT_EQ(split->history(),
+            (std::vector<std::vector<bool>>{{false}, {false}}));
+
+  // The peak gauge spans the stream: a shallow document, then a nest
+  // of depth 10 that holds one frontier record per open a.
+  auto deep = MustCreate("frontier");
+  ASSERT_TRUE(deep->Subscribe("q", "//a[b and c]").ok());
+  std::string nest;
+  for (int i = 0; i < 10; ++i) nest += "<a>";
+  for (int i = 0; i < 10; ++i) nest += "</a>";
+  FeedChunked(deep.get(), "<a/>");
+  FeedChunked(deep.get(), nest);
+  EXPECT_GE(deep->peak_table_entries(), 10u);
+}
+
+// A document abandoned mid-stream leaves no trace: no verdicts are
+// recorded, and the documents after it match an engine that never saw
+// it. Covers an explicit AbortDocument() after a partial byte Feed()
+// and after a partial SAX stream.
+TEST(EngineTest, AbortDocumentMidStream) {
+  Random query_rng(5);
+  std::vector<std::string> queries;
+  for (int i = 0; i < 10; ++i) {
+    auto query = GenerateLinearQuery(&query_rng, 1 + query_rng.Uniform(5),
+                                     0.35, 0.15, 4);
+    ASSERT_TRUE(query.ok());
+    queries.push_back((*query)->ToString());
+  }
+  Random doc_rng(77);
+  DocGenOptions doc_options;
+  doc_options.max_depth = 6;
+  doc_options.name_pool = 4;
+  doc_options.names = {"s0", "s1", "s2", "s3"};
+  EventCorpus corpus;
+  for (int i = 0; i < 4; ++i) {
+    corpus.Add(GenerateRandomDocument(&doc_rng, doc_options));
+  }
+
+  auto engine = MustCreate("nfa");
+  auto reference = MustCreate("nfa");
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::string id = "q" + std::to_string(q);
+    ASSERT_TRUE(engine->Subscribe(id, queries[q]).ok());
+    ASSERT_TRUE(reference->Subscribe(id, queries[q]).ok());
+  }
+
+  // Byte-level abort: feed half a document, abandon it.
+  ASSERT_TRUE(engine->Feed("<s0><s1><s2>").ok());
+  engine->AbortDocument();
+  EXPECT_EQ(engine->documents_seen(), 0u);
+
+  // SAX-level abort: open a document, stream a few events, abandon.
+  ASSERT_TRUE(engine->OnEvent(Event::StartDocument()).ok());
+  ASSERT_TRUE(engine->OnEvent(Event::StartElement("s0")).ok());
+  engine->AbortDocument();
+  EXPECT_EQ(engine->documents_seen(), 0u);
+
+  for (const EventStream& events : corpus) {
+    ASSERT_TRUE(engine->FilterEvents(events).ok());
+    ASSERT_TRUE(reference->FilterEvents(events).ok());
+  }
+  EXPECT_EQ(engine->documents_seen(), corpus.size());
+  EXPECT_EQ(engine->history(), reference->history());
 }
 
 TEST(EngineTest, KeepHistoryOffRecordsOnlyLastVerdicts) {

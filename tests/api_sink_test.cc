@@ -6,9 +6,6 @@
 //  * decided positions are an engine-specific measurable, exact and
 //    deterministic (automata commit on accepting-state entry, frontier
 //    at endElement aggregation, naive only at endDocument);
-//  * sink callback sequences (slots, doc indices, ordinals, order) are
-//    bit-identical between threads = 1 and sharded engines for every
-//    registered engine;
 //  * short_circuit changes the work, never the results — and malformed
 //    document tails still fail even though no engine sees them.
 
@@ -170,59 +167,11 @@ TEST(ApiSinkTest, DeliveryModesControlNotificationTiming) {
   EXPECT_EQ(sink.documents[0].second, (std::vector<bool>{true, true}));
 }
 
-// The acceptance contract: sink delivery (slots, ordinals, order) is
-// bit-identical between threads = 1 and sharded engines for all five
-// registry engines, on both the SAX batch path and the byte path.
-TEST(ApiSinkTest, SinkDeliveryBitIdenticalAcrossThreadCounts) {
-  const std::vector<std::string> queries = LinearQueries(23, 20240401);
-  const EventCorpus corpus = Corpus(8, 7);
-
-  for (const std::string& name : Engine::AvailableEngines()) {
-    RecordingSink reference;
-    std::vector<std::vector<size_t>> reference_positions;
-    for (size_t threads : {1u, 2u, 4u}) {
-      EngineOptions options;
-      options.engine = name;
-      options.threads = threads;
-      auto engine = Engine::Create(options);
-      ASSERT_TRUE(engine.ok()) << name;
-      RecordingSink sink;
-      (*engine)->SetSink(&sink);
-      for (size_t q = 0; q < queries.size(); ++q) {
-        // Mixed delivery modes must not perturb ordering or content.
-        ASSERT_TRUE((*engine)
-                        ->Subscribe("q" + std::to_string(q), queries[q],
-                                    q % 3 == 0 ? DeliveryMode::kAtEnd
-                                               : DeliveryMode::kEarliest)
-                        .ok())
-            << name;
-      }
-      std::vector<std::vector<size_t>> positions;
-      for (const EventStream& events : corpus) {
-        ASSERT_TRUE((*engine)->FilterEvents(events).ok())
-            << name << " threads=" << threads;
-        positions.push_back((*engine)->last_decided_at());
-      }
-      if (threads == 1) {
-        reference = std::move(sink);
-        reference_positions = std::move(positions);
-      } else {
-        EXPECT_EQ(sink.matches, reference.matches)
-            << name << " threads=" << threads;
-        EXPECT_EQ(sink.documents, reference.documents)
-            << name << " threads=" << threads;
-        EXPECT_EQ(positions, reference_positions)
-            << name << " threads=" << threads;
-      }
-    }
-  }
-}
-
 // Short-circuit is a pure work cut: verdicts, history, decided
 // positions and sink callbacks all match the full scan — for the
-// facade skip path (threads = 1), the shard replay cut, and the
-// per-slot commitment cut, which a holdout subscription that never
-// matches leaves as the only cut that can fire.
+// facade skip path and for the per-slot commitment cut, which a
+// holdout subscription that never matches leaves as the only cut that
+// can fire.
 TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
   // All subscriptions decide in the prologue; a filler tail, nested
   // one level deeper than the prologue, follows.
@@ -248,74 +197,67 @@ TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
 
   for (const char* name :
        {"frontier", "nfa", "lazy_dfa", "naive", "nfa_index", "auto"}) {
-    for (size_t threads : {1u, 2u}) {
-      for (bool holdout : {false, true}) {
-        const std::string label = std::string(name) +
-                                  " threads=" + std::to_string(threads) +
-                                  (holdout ? " holdout" : "");
-        RecordingSink reference;
-        std::vector<std::vector<bool>> reference_history;
-        std::vector<std::vector<size_t>> reference_positions;
-        size_t reference_peak = 0;
-        for (bool short_circuit : {false, true}) {
-          EngineOptions options;
-          options.engine = name;
-          options.threads = threads;
-          options.short_circuit = short_circuit;
-          auto engine = Engine::Create(options);
-          ASSERT_TRUE(engine.ok()) << label;
-          RecordingSink sink;
-          (*engine)->SetSink(&sink);
-          for (int i = 0; i < 4; ++i) {
-            ASSERT_TRUE((*engine)
-                            ->Subscribe("h" + std::to_string(i),
-                                        "//h" + std::to_string(i),
-                                        DeliveryMode::kEarliest)
-                            .ok())
-                << label;
-          }
-          if (holdout) {
-            ASSERT_TRUE(
-                (*engine)->Subscribe("miss", "//zzz", DeliveryMode::kEarliest)
-                    .ok())
-                << label;
-          }
-          std::vector<std::vector<size_t>> positions;
-          for (const EventStream* events : {&doc, &partial}) {
-            ASSERT_TRUE((*engine)->FilterEvents(*events).ok()) << label;
-            positions.push_back((*engine)->last_decided_at());
-          }
-          if (!short_circuit) {
-            reference = std::move(sink);
-            reference_history = (*engine)->history();
-            reference_positions = std::move(positions);
-            reference_peak = (*engine)->peak_table_entries();
-            EXPECT_EQ((*engine)->documents_short_circuited(), 0u) << label;
-            continue;
-          }
-          EXPECT_EQ(sink.matches, reference.matches) << label;
-          EXPECT_EQ(sink.documents, reference.documents) << label;
-          EXPECT_EQ((*engine)->history(), reference_history) << label;
-          EXPECT_EQ(positions, reference_positions) << label;
-          // Gauges stop at each slot's commitment. The stack engines
-          // peak in the deeper tail, so only the holdout reaches it.
-          EXPECT_LE((*engine)->peak_table_entries(), reference_peak)
-              << label;
-          if (holdout && (std::string(name) == "nfa" ||
-                          std::string(name) == "lazy_dfa")) {
-            EXPECT_LT((*engine)->peak_table_entries(), reference_peak)
-                << label;
-          }
-          // The facade skips a whole tail only when every subscription
-          // decided mid-document: at threads = 1 (sharded engines cut
-          // inside the replay), without the holdout, and never for
-          // naive, which commits at endDocument.
-          const bool facade_cut =
-              threads == 1 && !holdout && std::string(name) != "naive";
-          EXPECT_EQ((*engine)->documents_short_circuited(),
-                    facade_cut ? 1u : 0u)
+    for (bool holdout : {false, true}) {
+      const std::string label =
+          std::string(name) + (holdout ? " holdout" : "");
+      RecordingSink reference;
+      std::vector<std::vector<bool>> reference_history;
+      std::vector<std::vector<size_t>> reference_positions;
+      size_t reference_peak = 0;
+      for (bool short_circuit : {false, true}) {
+        EngineOptions options;
+        options.engine = name;
+        options.short_circuit = short_circuit;
+        auto engine = Engine::Create(options);
+        ASSERT_TRUE(engine.ok()) << label;
+        RecordingSink sink;
+        (*engine)->SetSink(&sink);
+        for (int i = 0; i < 4; ++i) {
+          ASSERT_TRUE((*engine)
+                          ->Subscribe("h" + std::to_string(i),
+                                      "//h" + std::to_string(i),
+                                      DeliveryMode::kEarliest)
+                          .ok())
               << label;
         }
+        if (holdout) {
+          ASSERT_TRUE(
+              (*engine)->Subscribe("miss", "//zzz", DeliveryMode::kEarliest)
+                  .ok())
+              << label;
+        }
+        std::vector<std::vector<size_t>> positions;
+        for (const EventStream* events : {&doc, &partial}) {
+          ASSERT_TRUE((*engine)->FilterEvents(*events).ok()) << label;
+          positions.push_back((*engine)->last_decided_at());
+        }
+        if (!short_circuit) {
+          reference = std::move(sink);
+          reference_history = (*engine)->history();
+          reference_positions = std::move(positions);
+          reference_peak = (*engine)->peak_table_entries();
+          EXPECT_EQ((*engine)->documents_short_circuited(), 0u) << label;
+          continue;
+        }
+        EXPECT_EQ(sink.matches, reference.matches) << label;
+        EXPECT_EQ(sink.documents, reference.documents) << label;
+        EXPECT_EQ((*engine)->history(), reference_history) << label;
+        EXPECT_EQ(positions, reference_positions) << label;
+        // Gauges stop at each slot's commitment. The stack engines
+        // peak in the deeper tail, so only the holdout reaches it.
+        EXPECT_LE((*engine)->peak_table_entries(), reference_peak) << label;
+        if (holdout && (std::string(name) == "nfa" ||
+                        std::string(name) == "lazy_dfa")) {
+          EXPECT_LT((*engine)->peak_table_entries(), reference_peak)
+              << label;
+        }
+        // The facade skips a whole tail only when every subscription
+        // decided mid-document: without the holdout, and never for
+        // naive, which commits at endDocument.
+        const bool facade_cut = !holdout && std::string(name) != "naive";
+        EXPECT_EQ((*engine)->documents_short_circuited(),
+                  facade_cut ? 1u : 0u)
+            << label;
       }
     }
   }
@@ -460,68 +402,6 @@ TEST(ApiSinkTest, DocIndicesAndDetach) {
   EXPECT_EQ(sink.matches.size(), 2u);
   EXPECT_EQ(sink.documents.size(), 2u);
   EXPECT_EQ((*engine)->documents_seen(), 3u);
-}
-
-// The frontier engine's decided positions survive the predicate
-// fragment (outside the automaton engines' reach) and line up between
-// single-threaded and sharded runs on a realistic corpus.
-TEST(ApiSinkTest, FrontierPredicateSubscriptionPositionsSharded) {
-  const std::vector<std::string> subscriptions = BibliographySubscriptions();
-  std::vector<std::vector<size_t>> reference;
-  for (size_t threads : {1u, 4u}) {
-    EngineOptions options;
-    options.engine = "frontier";
-    options.threads = threads;
-    auto engine = Engine::Create(options);
-    ASSERT_TRUE(engine.ok());
-    for (size_t s = 0; s < subscriptions.size(); ++s) {
-      ASSERT_TRUE(
-          (*engine)->Subscribe("s" + std::to_string(s), subscriptions[s]).ok());
-    }
-    std::vector<std::vector<size_t>> positions;
-    for (auto& document : GenerateBibliographyCorpus(10, 4242)) {
-      ASSERT_TRUE((*engine)->FilterEvents(document->ToEvents()).ok());
-      positions.push_back((*engine)->last_decided_at());
-    }
-    if (threads == 1) {
-      reference = std::move(positions);
-    } else {
-      EXPECT_EQ(positions, reference);
-    }
-  }
-}
-
-// Adversarial corpora: the deep-recursion generator drives decided
-// positions apart (descendant queries decide deep inside the nest)
-// while the wide-fanout generator keeps frontier state flat; both must
-// agree across thread counts.
-TEST(ApiSinkTest, AdversarialCorporaPositionsStable) {
-  const EventStream deep = GenerateDeepRecursionDocument(32);
-  const EventStream wide = GenerateWideFanoutDocument(64);
-  for (const EventStream* doc : {&deep, &wide}) {
-    std::vector<size_t> reference;
-    for (size_t threads : {1u, 2u}) {
-      EngineOptions options;
-      options.engine = "frontier";
-      options.threads = threads;
-      auto engine = Engine::Create(options);
-      ASSERT_TRUE(engine.ok());
-      const auto subscriptions = doc == &deep ? DeepRecursionSubscriptions()
-                                              : WideFanoutSubscriptions();
-      for (size_t s = 0; s < subscriptions.size(); ++s) {
-        ASSERT_TRUE((*engine)
-                        ->Subscribe("s" + std::to_string(s), subscriptions[s])
-                        .ok());
-      }
-      ASSERT_TRUE((*engine)->FilterEvents(*doc).ok());
-      if (threads == 1) {
-        reference = (*engine)->last_decided_at();
-        EXPECT_EQ(reference.size(), subscriptions.size());
-      } else {
-        EXPECT_EQ((*engine)->last_decided_at(), reference);
-      }
-    }
-  }
 }
 
 }  // namespace

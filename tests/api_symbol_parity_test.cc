@@ -1,11 +1,10 @@
 // Symbolization parity through the public facade. The interned-symbol
-// pipeline must be a pure representation change: for every engine and
-// thread count, verdicts, history, decided positions, and the full
-// ResultSink callback sequence must be bit-identical whether events
-// reach the engines pre-symbolized (the byte path, where the facade's
-// parser interns) or unsymbolized (caller-built SAX / batch events,
-// resolved lazily at the matcher boundary) — and identical to the
-// threads = 1 readings regardless of sharding.
+// pipeline must be a pure representation change: for every engine,
+// verdicts, history, decided positions, and the full ResultSink
+// callback sequence must be bit-identical whether events reach the
+// engines pre-symbolized (the byte path, where the facade's parser
+// interns) or unsymbolized (caller-built SAX / batch events, resolved
+// lazily at the matcher boundary).
 
 #include <gtest/gtest.h>
 
@@ -69,16 +68,12 @@ const char* EntryPointName(EntryPoint entry) {
   return "?";
 }
 
-RunTrace RunCorpus(const std::string& engine_name, size_t threads,
-                   EntryPoint entry,
+RunTrace RunCorpus(const std::string& engine_name, EntryPoint entry,
                    const std::vector<std::string>& queries,
                    const std::vector<std::string>& xml_corpus,
                    const std::vector<EventStream>& event_corpus) {
   RunTrace trace;
-  EngineOptions options;
-  options.engine = engine_name;
-  options.threads = threads;
-  auto engine = Engine::Create(options);
+  auto engine = Engine::Create(engine_name);
   EXPECT_TRUE(engine.ok()) << engine_name;
   if (!engine.ok()) return trace;
   RecordingSink sink;
@@ -170,29 +165,24 @@ class SymbolPipelineParityTest : public ::testing::Test {
   std::vector<EventStream> event_corpus_;
 };
 
-TEST_F(SymbolPipelineParityTest, AllEnginesAllEntryPointsAllThreadCounts) {
+TEST_F(SymbolPipelineParityTest, AllEnginesAllEntryPoints) {
   for (const std::string& name : Engine::AvailableEngines()) {
     const std::vector<std::string> queries = QueriesFor(name);
-    // The reference: threads = 1, byte path (parser-symbolized events).
-    const RunTrace reference = RunCorpus(name, 1, EntryPoint::kBytes,
-                                         queries, xml_corpus_, event_corpus_);
+    // The reference: the byte path (parser-symbolized events).
+    const RunTrace reference = RunCorpus(name, EntryPoint::kBytes, queries,
+                                         xml_corpus_, event_corpus_);
     ASSERT_FALSE(reference.history.empty()) << name;
     size_t hits = 0;
     for (const auto& doc : reference.history) {
       for (bool v : doc) hits += v;
     }
     EXPECT_GT(hits, 0u) << name << ": corpus produced no matches";
-    for (size_t threads : {1u, 2u, 4u}) {
-      for (EntryPoint entry : {EntryPoint::kBytes, EntryPoint::kBatch,
-                               EntryPoint::kSaxEvents}) {
-        if (threads == 1 && entry == EntryPoint::kBytes) continue;
-        const RunTrace trace = RunCorpus(name, threads, entry, queries,
-                                         xml_corpus_, event_corpus_);
-        EXPECT_TRUE(trace == reference)
-            << name << " threads=" << threads << " entry="
-            << EntryPointName(entry)
-            << ": symbolized/unsymbolized runs diverge";
-      }
+    for (EntryPoint entry : {EntryPoint::kBatch, EntryPoint::kSaxEvents}) {
+      const RunTrace trace =
+          RunCorpus(name, entry, queries, xml_corpus_, event_corpus_);
+      EXPECT_TRUE(trace == reference)
+          << name << " entry=" << EntryPointName(entry)
+          << ": symbolized/unsymbolized runs diverge";
     }
   }
 }
@@ -244,26 +234,20 @@ TEST_F(SymbolPipelineParityTest, ForeignSymbolsAreNotTrusted) {
   }
   for (const std::string& name : Engine::AvailableEngines()) {
     const std::vector<std::string> queries = QueriesFor(name);
-    for (size_t threads : {1u, 2u}) {
-      EngineOptions options;
-      options.engine = name;
-      options.threads = threads;
-      auto plain = Engine::Create(options);
-      auto fed_foreign = Engine::Create(options);
-      ASSERT_TRUE(plain.ok() && fed_foreign.ok()) << name;
-      for (size_t q = 0; q < queries.size(); ++q) {
-        const std::string id = "q" + std::to_string(q);
-        ASSERT_TRUE((*plain)->Subscribe(id, queries[q]).ok()) << name;
-        ASSERT_TRUE((*fed_foreign)->Subscribe(id, queries[q]).ok()) << name;
-      }
-      for (size_t d = 0; d < xml_corpus_.size(); ++d) {
-        auto expected = (*plain)->FilterXml(xml_corpus_[d]);
-        auto actual = (*fed_foreign)->FilterEvents(foreign_corpus[d]);
-        ASSERT_TRUE(expected.ok() && actual.ok()) << name;
-        EXPECT_EQ(*actual, *expected)
-            << name << " threads=" << threads
-            << ": foreign-symbolized events changed verdicts";
-      }
+    auto plain = Engine::Create(name);
+    auto fed_foreign = Engine::Create(name);
+    ASSERT_TRUE(plain.ok() && fed_foreign.ok()) << name;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string id = "q" + std::to_string(q);
+      ASSERT_TRUE((*plain)->Subscribe(id, queries[q]).ok()) << name;
+      ASSERT_TRUE((*fed_foreign)->Subscribe(id, queries[q]).ok()) << name;
+    }
+    for (size_t d = 0; d < xml_corpus_.size(); ++d) {
+      auto expected = (*plain)->FilterXml(xml_corpus_[d]);
+      auto actual = (*fed_foreign)->FilterEvents(foreign_corpus[d]);
+      ASSERT_TRUE(expected.ok() && actual.ok()) << name;
+      EXPECT_EQ(*actual, *expected)
+          << name << ": foreign-symbolized events changed verdicts";
     }
   }
 }

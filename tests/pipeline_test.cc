@@ -138,9 +138,9 @@ struct RecordingSink : PoolSink {
   }
 };
 
-// The tentpole contract: K concurrent submitters through a 4-worker
-// pool see exactly what a serial engine sees, per document, for every
-// registered engine and the planner-routed meta-engine.
+// The tentpole contract: K concurrent submitters through a pool of 1,
+// 2 or 4 workers see exactly what a serial engine sees, per document,
+// for every registered engine and the planner-routed meta-engine.
 TEST(EnginePoolTest, ConcurrentSubmittersMatchSerialEngineAllEngines) {
   const std::vector<std::string> queries = GeneratedQueries(11, 20260808);
   const std::vector<std::string> corpus = XmlCorpus(8, 21);
@@ -156,59 +156,62 @@ TEST(EnginePoolTest, ConcurrentSubmittersMatchSerialEngineAllEngines) {
     const std::vector<DocExpected> expected =
         SerialReference(engine_options, queries, corpus);
 
-    PipelineOptions options;
-    options.engine = engine_options;
-    options.workers = 4;
-    options.queue_depth = 8;
-    auto pool = EnginePool::Create(options);
-    ASSERT_TRUE(pool.ok()) << name;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_TRUE(
-          (*pool)
-              ->Subscribe("s" + std::to_string(q), queries[q], ModeOf(q))
-              .ok())
-          << name << " " << queries[q];
-    }
-    RecordingSink sink;
-    (*pool)->SetSink(&sink);
-
-    // Each submitter claims corpus slots off a shared cursor; which
-    // document index a submission got is only known per-call, so the
-    // doc -> corpus mapping is recorded as it happens.
-    std::mutex map_mutex;
-    std::map<uint64_t, size_t> corpus_of_doc;
-    std::atomic<size_t> cursor{0};
-    std::vector<std::thread> submitters;
-    for (size_t t = 0; t < kSubmitters; ++t) {
-      submitters.emplace_back([&] {
-        while (true) {
-          const size_t i = cursor.fetch_add(1);
-          if (i >= corpus.size() * kRounds) break;
-          const size_t ci = i % corpus.size();
-          uint64_t doc = 0;
-          EXPECT_TRUE((*pool)->SubmitXml(corpus[ci], &doc).ok());
-          std::lock_guard<std::mutex> lock(map_mutex);
-          corpus_of_doc[doc] = ci;
-        }
-      });
-    }
-    for (std::thread& thread : submitters) thread.join();
-    (*pool)->Drain();
-
-    EXPECT_EQ((*pool)->documents_submitted(), corpus.size() * kRounds);
-    ASSERT_EQ((*pool)->documents_done(), corpus.size() * kRounds) << name;
-    ASSERT_EQ(corpus_of_doc.size(), corpus.size() * kRounds) << name;
-    for (const auto& [doc, ci] : corpus_of_doc) {
-      const RecordingSink::Doc& got = sink.docs[doc];
-      const DocExpected& want = expected[ci];
-      EXPECT_FALSE(got.failed) << name << " doc " << doc;
-      ASSERT_TRUE(got.done) << name << " doc " << doc;
-      EXPECT_EQ(got.matches, want.matches) << name << " doc " << doc;
-      EXPECT_EQ(got.verdicts, want.verdicts) << name << " doc " << doc;
-      EXPECT_EQ(got.decided, want.decided) << name << " doc " << doc;
-      ASSERT_EQ(got.ids.size(), queries.size()) << name;
+    for (size_t workers : {1u, 2u, 4u}) {
+      const std::string label = name + " workers=" + std::to_string(workers);
+      PipelineOptions options;
+      options.engine = engine_options;
+      options.workers = workers;
+      options.queue_depth = 8;
+      auto pool = EnginePool::Create(options);
+      ASSERT_TRUE(pool.ok()) << label;
       for (size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(got.ids[q], "s" + std::to_string(q)) << name;
+        ASSERT_TRUE(
+            (*pool)
+                ->Subscribe("s" + std::to_string(q), queries[q], ModeOf(q))
+                .ok())
+            << label << " " << queries[q];
+      }
+      RecordingSink sink;
+      (*pool)->SetSink(&sink);
+
+      // Each submitter claims corpus slots off a shared cursor; which
+      // document index a submission got is only known per-call, so the
+      // doc -> corpus mapping is recorded as it happens.
+      std::mutex map_mutex;
+      std::map<uint64_t, size_t> corpus_of_doc;
+      std::atomic<size_t> cursor{0};
+      std::vector<std::thread> submitters;
+      for (size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&] {
+          while (true) {
+            const size_t i = cursor.fetch_add(1);
+            if (i >= corpus.size() * kRounds) break;
+            const size_t ci = i % corpus.size();
+            uint64_t doc = 0;
+            EXPECT_TRUE((*pool)->SubmitXml(corpus[ci], &doc).ok());
+            std::lock_guard<std::mutex> lock(map_mutex);
+            corpus_of_doc[doc] = ci;
+          }
+        });
+      }
+      for (std::thread& thread : submitters) thread.join();
+      (*pool)->Drain();
+
+      EXPECT_EQ((*pool)->documents_submitted(), corpus.size() * kRounds);
+      ASSERT_EQ((*pool)->documents_done(), corpus.size() * kRounds) << label;
+      ASSERT_EQ(corpus_of_doc.size(), corpus.size() * kRounds) << label;
+      for (const auto& [doc, ci] : corpus_of_doc) {
+        const RecordingSink::Doc& got = sink.docs[doc];
+        const DocExpected& want = expected[ci];
+        EXPECT_FALSE(got.failed) << label << " doc " << doc;
+        ASSERT_TRUE(got.done) << label << " doc " << doc;
+        EXPECT_EQ(got.matches, want.matches) << label << " doc " << doc;
+        EXPECT_EQ(got.verdicts, want.verdicts) << label << " doc " << doc;
+        EXPECT_EQ(got.decided, want.decided) << label << " doc " << doc;
+        ASSERT_EQ(got.ids.size(), queries.size()) << label;
+        for (size_t q = 0; q < queries.size(); ++q) {
+          EXPECT_EQ(got.ids[q], "s" + std::to_string(q)) << label;
+        }
       }
     }
   }

@@ -224,26 +224,6 @@ TEST(PlannerTest, AutoRoutesPerSubscriptionAndReportsThePlan) {
   EXPECT_EQ(*verdicts, *expected);
 }
 
-TEST(PlannerTest, AutoParityAcrossThreadCounts) {
-  const EventStream events = GenerateDeepRecursionDocument(16);
-  std::vector<std::vector<bool>> results;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    EngineOptions options;
-    options.engine = "auto";
-    options.threads = threads;
-    auto engine = Engine::Create(options);
-    ASSERT_TRUE(engine.ok()) << threads;
-    ASSERT_TRUE((*engine)->Subscribe("a", "//m/body").ok());
-    ASSERT_TRUE((*engine)->Subscribe("b", "//m[h]/body").ok());
-    ASSERT_TRUE((*engine)->Subscribe("c", "/m/m/body").ok());
-    auto verdicts = (*engine)->FilterEvents(events);
-    ASSERT_TRUE(verdicts.ok()) << threads;
-    results.push_back(*verdicts);
-  }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-}
-
 TEST(PlannerTest, ObservedProfileTakesOverFromAssumed) {
   auto engine = Engine::Create("frontier");
   ASSERT_TRUE(engine.ok());

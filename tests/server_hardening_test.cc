@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "server/wire.h"
+#include "xml/parser.h"
 #include "xpstream/server.h"
 #include "xpstream/xpstream.h"
 
@@ -327,6 +328,13 @@ TEST(ServerHardeningTest, ElementDepthCapMatchesDirectEngine) {
   ASSERT_FALSE(over_direct.ok());
   EXPECT_EQ(over_tcp.status().code(), StatusCode::kNotWellFormed);
   EXPECT_EQ(over_direct.status().code(), over_tcp.status().code());
+
+  // The cap holds on the pre-parsed entry point too.
+  auto over_events = ParseXmlToEvents(over_cap);
+  ASSERT_TRUE(over_events.ok());
+  auto over_batch = (*direct)->FilterEvents(over_events->events());
+  ASSERT_FALSE(over_batch.ok());
+  EXPECT_EQ(over_batch.status().code(), StatusCode::kNotWellFormed);
 
   // Both sides recover for the next well-formed document.
   ASSERT_TRUE((*client)->Feed(at_cap).ok());

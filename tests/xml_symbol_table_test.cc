@@ -182,7 +182,8 @@ TEST(SymbolTableParserTest, EntityDecodedPayloadsDoNotTouchNames) {
 
 TEST(SymbolTableParserTest, SymbolsAreStableAcrossDocuments) {
   // One table serving a document stream: the same names resolve to the
-  // same ids in every document (the property shard replay relies on).
+  // same ids in every document (subscriptions resolve their node tests
+  // once, at Subscribe, and compare ids in every later document).
   SymbolTable table;
   auto first = ParseXmlToEvents("<a><b/></a>", &table);
   ASSERT_TRUE(first.ok());
