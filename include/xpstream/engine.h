@@ -41,10 +41,9 @@
 
 namespace xpstream {
 
-class DfaTableCache;  // internal (stream/dfa_table_cache.h)
-class Matcher;        // internal (stream/matcher.h)
-class SymbolTable;    // internal (xml/symbol_table.h)
-class XmlParser;      // internal (xml/parser.h)
+class Matcher;      // internal (stream/matcher.h)
+class SymbolTable;  // internal (xml/symbol_table.h)
+class XmlParser;    // internal (xml/parser.h)
 
 /// What happens to a Subscribe whose predicted peak memory would push
 /// the engine past EngineOptions::memory_budget_bytes.
@@ -180,18 +179,13 @@ struct EngineOptions {
 /// copies of one logical engine that evaluate independent documents
 /// concurrently (xpstream/pipeline.h's EnginePool). Replicas keep a
 /// private SymbolTable and matcher state (document evaluation never
-/// synchronizes), but share the structures whose meaning is
-/// population-wide: the memoized lazy-DFA tables (thread-safe
-/// internally) and the DocumentProfile the planner prices against, so
-/// admission and "auto" routing decide identically on every replica
-/// and a subscription's budget is charged once per logical slot, not
-/// once per replica. All pointers may be null — the engine then owns a
-/// private equivalent (Create(options) is exactly this overload with an
-/// empty context).
+/// synchronizes), and share only the DocumentProfile the planner
+/// prices against, so admission and "auto" routing decide identically
+/// on every replica and a subscription's budget is charged once per
+/// logical slot, not once per replica. A null profile means the engine
+/// owns a private one (Create(options) is exactly this overload with
+/// an empty context).
 struct EngineSharedContext {
-  /// Shared memoized lazy-DFA transition tables; safe to share across
-  /// threads (mutex-guarded publish/lookup, immutable snapshots).
-  DfaTableCache* dfa_tables = nullptr;
   /// Shared document profile: running maxima over every document any
   /// replica observed. Reads (Subscribe-time pricing) must be quiesced
   /// against writes (document boundaries) by the owner — EnginePool
@@ -321,8 +315,7 @@ class Engine : public EventSink {
   Result<SubscriptionPlan> PlanOf(std::string_view id) const;
 
   /// Predicted peak bytes of all live evaluation slots — the quantity
-  /// admission control holds below memory_budget_bytes. Also exported
-  /// as the predicted_peak_bytes gauge of stats().
+  /// admission control holds below memory_budget_bytes.
   size_t predicted_peak_bytes() const { return predicted_total_; }
 
   /// Subscribes rejected (kResourceExhausted) by admission control.
@@ -455,7 +448,6 @@ class Engine : public EventSink {
   };
 
   Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
-         std::unique_ptr<DfaTableCache> owned_dfa_tables,
          std::unique_ptr<DocumentProfile> owned_profile,
          const EngineSharedContext& effective,
          std::unique_ptr<Matcher> matcher);
@@ -513,19 +505,15 @@ class Engine : public EventSink {
   /// that resolves against it; declared before matcher_ so it is
   /// destroyed after everything referencing it.
   std::unique_ptr<SymbolTable> symbols_;
-  /// Privately owned lazy-DFA table cache / document profile — null for
-  /// a replica engine bound to an EngineSharedContext (the shared
-  /// structures then outlive the engine by the caller's contract).
-  /// Declared before matcher_ so they are destroyed after everything
-  /// referencing them.
-  std::unique_ptr<DfaTableCache> owned_dfa_tables_;
+  /// Privately owned document profile — null for a replica engine
+  /// bound to an EngineSharedContext (the shared profile then outlives
+  /// the engine by the caller's contract). Declared before matcher_ so
+  /// it is destroyed after everything referencing it.
   std::unique_ptr<DocumentProfile> owned_profile_;
-  /// Effective shared structures: the owned ones above, or the caller's
-  /// via EngineSharedContext. Always non-null after construction.
-  DfaTableCache* dfa_tables_ = nullptr;
   /// The pipeline's document profile (PipelineContext::profile points
-  /// here): assumed_profile until the first document completes, running
-  /// maxima afterwards.
+  /// here): the owned one above or the caller's, assumed_profile until
+  /// the first document completes, running maxima afterwards. Always
+  /// non-null after construction.
   DocumentProfile* profile_ = nullptr;
   /// Locked around the document-boundary profile fold when the profile
   /// is shared across replica threads; null when the engine owns it.

@@ -19,11 +19,12 @@
 /// filtering problem carries no cross-document state beyond the slowly
 /// growing document profile), so the pool parallelizes across
 /// documents, never within one. Each replica owns a private SymbolTable
-/// and matcher — document evaluation never synchronizes — while the
-/// memoized lazy-DFA tables and the planner's DocumentProfile are
-/// shared, so admission and "auto" routing decide identically on every
-/// replica and a subscription's budget is charged once per logical
-/// slot, not once per replica (see EngineSharedContext).
+/// and matcher — document evaluation never synchronizes — and the
+/// replicas share only the planner's DocumentProfile, so admission and
+/// "auto" routing decide identically on every replica and a
+/// subscription's budget is charged once per logical slot, not once per
+/// replica (see EngineSharedContext). Submitted documents wait in one
+/// FIFO queue, and each idle worker takes the oldest.
 ///
 /// Per-document results are bit-identical to a serial Engine fed the
 /// same document: verdicts, decided positions, and the MATCH callback
@@ -44,18 +45,6 @@
 
 namespace xpstream {
 
-/// How submitted documents are handed to worker replicas.
-enum class DispatchPolicy {
-  /// One shared queue; idle workers take the oldest waiting document.
-  /// Work-conserving — no worker idles while a document waits — so it
-  /// is the default.
-  kLeastLoaded,
-  /// Documents are dealt to per-worker queues in submission order,
-  /// round-robin. Deterministic document->replica assignment (useful
-  /// for tests and cache studies), at the price of possible idling.
-  kRoundRobin,
-};
-
 /// EnginePool construction options.
 struct PipelineOptions {
   /// Options for each worker replica.
@@ -70,9 +59,6 @@ struct PipelineOptions {
   /// evaluated; at least 1. TrySubmit* rejects with kResourceExhausted
   /// when the queue is full — the pool's backpressure signal.
   size_t queue_depth = 16;
-
-  /// Queue discipline; see DispatchPolicy.
-  DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
 };
 
 /// The subscription-id vector (registration order — the index space of
@@ -189,21 +175,13 @@ class EnginePool {
   /// when the queue is full — the caller's backpressure signal.
   Status TrySubmitXml(std::string xml, uint64_t* doc = nullptr);
 
-  /// Non-blocking submission of a pre-parsed document (one whole
-  /// envelope, as ValidateEventStream accepts). The events need no
-  /// symbolization: each replica resolves names against its private
-  /// table as it matches. The borrowed views are deep-copied into an
-  /// owning EventBuffer at submission time (while the caller's backing
-  /// bytes are still valid under the lifetime contract in xml/event.h);
-  /// callers that already own an EventBuffer should move it into the
-  /// overload below and skip that copy.
-  Status TrySubmitEvents(const EventStream& events, uint64_t* doc = nullptr);
-
-  /// Non-blocking submission of a pre-parsed, self-contained document.
-  /// The buffer owns the bytes its events view, so the pool queues it
-  /// as-is — no copy. This is the TCP server's path: it parses
-  /// off-pool into an EventBuffer to fail malformed input at the
-  /// publisher, then moves the buffer here.
+  /// Non-blocking submission of a pre-parsed, self-contained document
+  /// (one whole envelope, as ValidateEventStream accepts). The buffer
+  /// owns the bytes its events view, so the pool queues it as-is — no
+  /// copy. The events need no symbolization: each replica resolves
+  /// names against its private table as it matches. This is the TCP
+  /// server's path: it parses off-pool into an EventBuffer to fail
+  /// malformed input at the publisher, then moves the buffer here.
   Status TrySubmitEvents(EventBuffer events, uint64_t* doc = nullptr);
 
   /// Blocks until every document submitted so far has completed (its

@@ -7,7 +7,6 @@
 #include "analysis/canonical.h"
 #include "planner/auto_matcher.h"
 #include "planner/cost_model.h"
-#include "stream/dfa_table_cache.h"
 #include "stream/engine_registry.h"
 #include "stream/matcher.h"
 #include "xml/parser.h"
@@ -27,15 +26,12 @@ struct Engine::SinkRelay : MatchSink {
 };
 
 Engine::Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
-               std::unique_ptr<DfaTableCache> owned_dfa_tables,
                std::unique_ptr<DocumentProfile> owned_profile,
                const EngineSharedContext& effective,
                std::unique_ptr<Matcher> matcher)
     : options_(std::move(options)),
       symbols_(std::move(symbols)),
-      owned_dfa_tables_(std::move(owned_dfa_tables)),
       owned_profile_(std::move(owned_profile)),
-      dfa_tables_(effective.dfa_tables),
       profile_(effective.profile),
       profile_mutex_(effective.profile_mutex),
       matcher_(std::move(matcher)),
@@ -76,17 +72,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(
   // into it, subscriptions resolve their node tests against it, and the
   // matcher dispatches on its ids. It is never shared across pool
   // replicas — interning is single-threaded by design. The
-  // DfaTableCache and DocumentProfile *are* shareable: when
-  // the caller supplies them (an EnginePool wiring up replicas) this
-  // engine borrows; otherwise it owns private equivalents.
+  // DocumentProfile *is* shareable: when the caller supplies one (an
+  // EnginePool wiring up replicas) this engine borrows it; otherwise it
+  // owns a private one.
   auto symbols = std::make_unique<SymbolTable>();
-  std::unique_ptr<DfaTableCache> owned_dfa;
   std::unique_ptr<DocumentProfile> owned_profile;
   EngineSharedContext effective = shared;
-  if (effective.dfa_tables == nullptr) {
-    owned_dfa = std::make_unique<DfaTableCache>();
-    effective.dfa_tables = owned_dfa.get();
-  }
   if (effective.profile == nullptr) {
     // The pipeline's document profile starts as the caller's asserted
     // workload shape; observed documents take over at the first boundary.
@@ -97,14 +88,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(
 
   PipelineContext context;
   context.symbols = symbols.get();
-  context.dfa_tables = effective.dfa_tables;
   context.profile = effective.profile;
   auto matcher = BuildMatcher(options, context);
   if (!matcher.ok()) return matcher.status();
-  return std::unique_ptr<Engine>(
-      new Engine(options, std::move(symbols), std::move(owned_dfa),
-                 std::move(owned_profile), effective,
-                 std::move(matcher).value()));
+  return std::unique_ptr<Engine>(new Engine(
+      options, std::move(symbols), std::move(owned_profile), effective,
+      std::move(matcher).value()));
 }
 
 Result<std::unique_ptr<Engine>> Engine::Create(std::string_view engine_name) {
@@ -290,17 +279,12 @@ Status Engine::CompactSubscriptions() {
   // rebuilt AutoMatcher re-routes every slot to its now-cheapest engine.
   if (tombstoned_slots_ == 0 && !NeedsReroute()) return Status::OK();
 
-  // Let the old matcher fold its shareable structure (lazy-DFA tables)
-  // into the pipeline caches, so the rebuilt matcher starts warm.
-  matcher_->PublishShared();
-
   // The fresh matcher plans against the *observed* profile, not the
   // assumed one the original matcher may have been built with: this is
   // what re-routes slots whose cheapest engine changed as documents
   // taught the planner the real workload shape.
   PipelineContext context;
   context.symbols = symbols_.get();
-  context.dfa_tables = dfa_tables_;
   context.profile = profile_;
   auto fresh = BuildMatcher(options_, context);
   if (!fresh.ok()) return fresh.status();
@@ -739,10 +723,6 @@ const MemoryStats& Engine::stats() const {
   // The shared table's footprint: the once-per-distinct-name cost that
   // replaces per-event string work across the whole pipeline.
   stats_.symbol_bytes().Set(symbols_->FootprintBytes());
-  // The planner-side gauges: the forecast admission holds under budget
-  // and the rejections it issued doing so.
-  stats_.predicted_peak_bytes().Set(predicted_total_);
-  stats_.admission_rejects().Set(admission_rejects_);
   // Scratch retained by the zero-copy parser's per-document arena.
   stats_.arena_bytes().Set(parse_arena_.FootprintBytes());
   return stats_;

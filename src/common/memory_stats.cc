@@ -26,8 +26,6 @@ void MemoryStats::Accumulate(const MemoryStats& other) {
   auxiliary_bytes_.Accumulate(other.auxiliary_bytes_);
   symbol_bytes_.Accumulate(other.symbol_bytes_);
   arena_bytes_.Accumulate(other.arena_bytes_);
-  predicted_peak_bytes_.Accumulate(other.predicted_peak_bytes_);
-  admission_rejects_.Accumulate(other.admission_rejects_);
 }
 
 void MemoryStats::Reset() {
@@ -38,21 +36,17 @@ void MemoryStats::Reset() {
   auxiliary_bytes_.Reset();
   symbol_bytes_.Reset();
   arena_bytes_.Reset();
-  predicted_peak_bytes_.Reset();
-  admission_rejects_.Reset();
 }
 
 std::string MemoryStats::ToString() const {
   return StringPrintf(
       "table_entries{cur=%zu peak=%zu} buffered_bytes{cur=%zu peak=%zu} "
       "automaton{states=%zu transitions=%zu} aux_bytes{peak=%zu} "
-      "symbol_bytes{peak=%zu} arena_bytes{peak=%zu} "
-      "predicted_peak_bytes=%zu admission_rejects=%zu",
+      "symbol_bytes{peak=%zu} arena_bytes{peak=%zu}",
       table_entries_.current(), table_entries_.peak(),
       buffered_bytes_.current(), buffered_bytes_.peak(),
       automaton_states_.peak(), automaton_transitions_.peak(),
-      auxiliary_bytes_.peak(), symbol_bytes_.peak(), arena_bytes_.peak(),
-      predicted_peak_bytes_.current(), admission_rejects_.current());
+      auxiliary_bytes_.peak(), symbol_bytes_.peak(), arena_bytes_.peak());
 }
 
 size_t BitWidth(size_t n) {

@@ -81,20 +81,6 @@ class MemoryStats {
   Gauge& arena_bytes() { return arena_bytes_; }
   const Gauge& arena_bytes() const { return arena_bytes_; }
 
-  /// The planner's summed per-subscription peak prediction (set by the
-  /// Engine facade at Subscribe time; see include/xpstream/planner.h).
-  /// A *forecast*, not a measurement — deliberately excluded from
-  /// PeakBytes()/PeakStateBits() so predictions never inflate the
-  /// measured footprint they are compared against.
-  Gauge& predicted_peak_bytes() { return predicted_peak_bytes_; }
-  const Gauge& predicted_peak_bytes() const { return predicted_peak_bytes_; }
-
-  /// Subscriptions refused by admission control (kResourceExhausted),
-  /// cumulative over the engine's lifetime. A counter carried as a
-  /// gauge for uniform transport; excluded from the byte totals.
-  Gauge& admission_rejects() { return admission_rejects_; }
-  const Gauge& admission_rejects() const { return admission_rejects_; }
-
   /// Estimated total peak footprint in bytes, combining all gauges with
   /// `bytes_per_entry` charged per table entry / state / transition.
   size_t PeakBytes(size_t bytes_per_entry = 16) const;
@@ -120,8 +106,6 @@ class MemoryStats {
   Gauge auxiliary_bytes_;
   Gauge symbol_bytes_;
   Gauge arena_bytes_;
-  Gauge predicted_peak_bytes_;
-  Gauge admission_rejects_;
 };
 
 /// Number of bits needed to represent values in [0, n]; at least 1.

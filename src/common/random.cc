@@ -60,18 +60,6 @@ double Random::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-size_t Random::WeightedChoice(const std::vector<double>& weights) {
-  double total = 0;
-  for (double w : weights) total += w;
-  assert(total > 0);
-  double r = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::string Random::NextName(size_t length) {
   assert(length >= 1);
   std::string out;

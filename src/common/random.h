@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace xpstream {
 
@@ -31,9 +30,6 @@ class Random {
 
   /// Uniform double in [0, 1).
   double NextDouble();
-
-  /// Picks an index according to non-negative weights (at least one > 0).
-  size_t WeightedChoice(const std::vector<double>& weights);
 
   /// Random lowercase ASCII identifier of the given length (>=1).
   std::string NextName(size_t length);

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "stream/dfa_table_cache.h"
 #include "xml/stats.h"
 
 namespace xpstream {
@@ -63,10 +62,9 @@ struct ReplicaSink : ResultSink {
 struct EnginePool::Impl {
   PipelineOptions options;
 
-  // Shared pipeline structure, bound into every replica via
+  // The shared document profile, bound into every replica via
   // EngineSharedContext. Declared before the replicas so it outlives
   // them.
-  std::unique_ptr<DfaTableCache> dfa_tables;
   std::unique_ptr<DocumentProfile> profile;
   std::mutex profile_mutex;
 
@@ -82,10 +80,7 @@ struct EnginePool::Impl {
   std::condition_variable work_cv;   // workers: a job arrived / unpaused
   std::condition_variable space_cv;  // publishers: queue space freed
   std::condition_variable idle_cv;   // control: in-flight drained
-  std::deque<Job> shared_queue;              // kLeastLoaded
-  std::vector<std::deque<Job>> worker_queues;  // kRoundRobin
-  size_t rr_next = 0;        // next round-robin target
-  size_t queued = 0;         // jobs waiting across all queues
+  std::deque<Job> queue;     // jobs waiting; idle workers take the oldest
   size_t in_flight = 0;      // jobs being evaluated
   bool paused = false;       // mutation in progress: start no new job
   bool stopping = false;
@@ -99,27 +94,13 @@ struct EnginePool::Impl {
   size_t peak_table_entries = 0;
   size_t peak_buffered_bytes = 0;
 
-  bool HasJob(size_t worker) const {
-    return options.dispatch == DispatchPolicy::kRoundRobin
-               ? !worker_queues[worker].empty()
-               : !shared_queue.empty();
-  }
-
-  Job PopJob(size_t worker) {
-    auto& queue = options.dispatch == DispatchPolicy::kRoundRobin
-                      ? worker_queues[worker]
-                      : shared_queue;
-    Job job = std::move(queue.front());
-    queue.pop_front();
-    return job;
-  }
-
   Status Enqueue(Job job, uint64_t* doc, bool blocking) {
     std::unique_lock<std::mutex> lock(mutex);
     if (blocking) {
-      space_cv.wait(lock,
-                    [&] { return stopping || queued < options.queue_depth; });
-    } else if (!stopping && queued >= options.queue_depth) {
+      space_cv.wait(lock, [&] {
+        return stopping || queue.size() < options.queue_depth;
+      });
+    } else if (!stopping && queue.size() >= options.queue_depth) {
       ++rejects;
       return Status::ResourceExhausted(
           "document queue is full (queue_depth = " +
@@ -130,14 +111,8 @@ struct EnginePool::Impl {
     }
     job.doc = next_doc++;
     if (doc != nullptr) *doc = job.doc;
-    if (options.dispatch == DispatchPolicy::kRoundRobin) {
-      worker_queues[rr_next].push_back(std::move(job));
-      rr_next = (rr_next + 1) % replicas.size();
-    } else {
-      shared_queue.push_back(std::move(job));
-    }
-    ++queued;
-    queue_peak = std::max(queue_peak, queued + in_flight);
+    queue.push_back(std::move(job));
+    queue_peak = std::max(queue_peak, queue.size() + in_flight);
     work_cv.notify_one();
     return Status::OK();
   }
@@ -150,10 +125,10 @@ struct EnginePool::Impl {
       {
         std::unique_lock<std::mutex> lock(mutex);
         work_cv.wait(lock,
-                     [&] { return stopping || (!paused && HasJob(index)); });
+                     [&] { return stopping || (!paused && !queue.empty()); });
         if (stopping) return;  // queued jobs are dropped; Drain() first
-        job = PopJob(index);
-        --queued;
+        job = std::move(queue.front());
+        queue.pop_front();
         ++in_flight;
         relay->doc = job.doc;
         relay->ids = ids_snapshot;
@@ -229,12 +204,10 @@ Result<std::unique_ptr<EnginePool>> EnginePool::Create(
   // default. Consume results through the PoolSink.
   impl.options.engine.keep_history = false;
 
-  impl.dfa_tables = std::make_unique<DfaTableCache>();
   impl.profile =
       std::make_unique<DocumentProfile>(impl.options.engine.assumed_profile);
 
   EngineSharedContext shared;
-  shared.dfa_tables = impl.dfa_tables.get();
   shared.profile = impl.profile.get();
   shared.profile_mutex = &impl.profile_mutex;
 
@@ -247,9 +220,6 @@ Result<std::unique_ptr<EnginePool>> EnginePool::Create(
     replica.relay->engine = replica.engine.get();
     replica.relay->done = &impl.done;
     replica.engine->SetSink(replica.relay.get());
-  }
-  if (impl.options.dispatch == DispatchPolicy::kRoundRobin) {
-    impl.worker_queues.resize(impl.options.workers);
   }
   for (size_t i = 0; i < impl.replicas.size(); ++i) {
     impl.replicas[i].thread =
@@ -321,15 +291,6 @@ Status EnginePool::TrySubmitXml(std::string xml, uint64_t* doc) {
   return impl_->Enqueue(std::move(job), doc, /*blocking=*/false);
 }
 
-Status EnginePool::TrySubmitEvents(const EventStream& events, uint64_t* doc) {
-  // Detach from the caller's backing storage now, while the lifetime
-  // contract still guarantees the views are valid.
-  Job job;
-  job.events = EventBuffer::DeepCopy(events);
-  job.parsed = true;
-  return impl_->Enqueue(std::move(job), doc, /*blocking=*/false);
-}
-
 Status EnginePool::TrySubmitEvents(EventBuffer events, uint64_t* doc) {
   Job job;
   job.events = std::move(events);
@@ -340,7 +301,7 @@ Status EnginePool::TrySubmitEvents(EventBuffer events, uint64_t* doc) {
 void EnginePool::Drain() {
   std::unique_lock<std::mutex> lock(impl_->mutex);
   impl_->idle_cv.wait(lock, [&] {
-    return impl_->queued == 0 && impl_->in_flight == 0;
+    return impl_->queue.empty() && impl_->in_flight == 0;
   });
 }
 
@@ -360,7 +321,7 @@ size_t EnginePool::docs_in_flight() const {
 
 size_t EnginePool::docs_queued() const {
   std::unique_lock<std::mutex> lock(impl_->mutex);
-  return impl_->queued;
+  return impl_->queue.size();
 }
 
 size_t EnginePool::queue_rejects() const {

@@ -163,10 +163,6 @@ void AutoMatcher::EnableShortCircuit(bool on) {
   for (Member& member : members_) member.matcher->EnableShortCircuit(on);
 }
 
-void AutoMatcher::PublishShared() {
-  for (Member& member : members_) member.matcher->PublishShared();
-}
-
 const MemoryStats& AutoMatcher::stats() const {
   stats_.Reset();
   for (const Member& member : members_) {

@@ -27,9 +27,8 @@ namespace xpstream {
 class AutoMatcher : public Matcher {
  public:
   /// Creates an auto matcher wired into the pipeline: members share
-  /// `context`'s SymbolTable (or the matcher's private one) and
-  /// DfaTableCache, and every Subscribe consults `context.profile`
-  /// (assumed defaults when null).
+  /// `context`'s SymbolTable (or the matcher's private one), and every
+  /// Subscribe consults `context.profile` (assumed defaults when null).
   static Result<std::unique_ptr<Matcher>> Create(
       const PipelineContext& context);
 
@@ -42,7 +41,6 @@ class AutoMatcher : public Matcher {
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<std::vector<bool>> Verdicts() const override;
   void EnableShortCircuit(bool on) override;
-  void PublishShared() override;
   const MemoryStats& stats() const override;
 
  private:

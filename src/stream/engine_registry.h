@@ -38,7 +38,7 @@ class EngineRegistry {
 
   /// Creates a fresh Matcher of the named engine; kNotFound for names
   /// never registered. `context` carries the pipeline's shared
-  /// structures (SymbolTable, DfaTableCache); null members let the
+  /// structures (SymbolTable, DocumentProfile); null members let the
   /// matcher own private equivalents.
   Result<std::unique_ptr<Matcher>> CreateMatcher(
       const std::string& name, const PipelineContext& context) const;

@@ -67,13 +67,6 @@ class StreamFilter : public EventSink {
   /// equal serializations may be merged by the protocol simulator.
   virtual std::string SerializeState() const = 0;
 
-  /// Folds privately accumulated shareable structure (a lazy DFA's
-  /// transition-table overlay) back into the pipeline's shared caches
-  /// bound at creation. Called by the owning matcher on the dispatch
-  /// thread only, never concurrently with matching. Default: nothing
-  /// to share.
-  virtual void PublishShared() {}
-
   virtual const MemoryStats& stats() const = 0;
 
   virtual std::string name() const = 0;

@@ -4,15 +4,13 @@
 #include <set>
 #include <utility>
 
-#include "analysis/canonical.h"
 #include "common/string_util.h"
 #include "stream/engine_registry.h"
-#include "stream/matcher.h"
 
 namespace xpstream {
 
 Result<std::unique_ptr<LazyDfaFilter>> LazyDfaFilter::Create(
-    const Query* query, SymbolTable* symbols, DfaTableCache* cache) {
+    const Query* query, SymbolTable* symbols) {
   if (!IsLinearPathQuery(*query)) {
     return Status::Unsupported(
         "LazyDfaFilter supports linear path queries (no predicates) only");
@@ -50,18 +48,6 @@ Result<std::unique_ptr<LazyDfaFilter>> LazyDfaFilter::Create(
     }
     filter->steps_.push_back(Step{n->axis(), wildcard, local});
   }
-  if (cache != nullptr) {
-    // Equal canonical keys on linear queries mean identical step chains,
-    // hence identical local-alphabet assignment: the cached table (if a
-    // sibling filter published one) transfers verbatim. A key failure
-    // just means no sharing for this filter.
-    auto key = CanonicalQueryKey(*query);
-    if (key.ok()) {
-      filter->cache_ = cache;
-      filter->cache_key_ = std::move(key).value();
-      filter->base_ = cache->Lookup(filter->cache_key_);
-    }
-  }
   XPS_RETURN_IF_ERROR(filter->Reset());
   return filter;
 }
@@ -81,13 +67,9 @@ Status LazyDfaFilter::Reset() {
 }
 
 int LazyDfaFilter::InternState(uint64_t mask) {
-  if (base_ != nullptr) {
-    auto it = base_->state_of_mask.find(mask);
-    if (it != base_->state_of_mask.end()) return it->second;
-  }
   auto it = state_of_mask_.find(mask);
   if (it != state_of_mask_.end()) return it->second;
-  int id = static_cast<int>(BaseStates() + mask_of_state_.size());
+  int id = static_cast<int>(mask_of_state_.size());
   state_of_mask_[mask] = id;
   mask_of_state_.push_back(mask);
   stats_.automaton_states().Set(NumStates());
@@ -109,10 +91,6 @@ uint64_t LazyDfaFilter::Descend(uint64_t mask, int symbol) const {
 
 int LazyDfaFilter::Transition(int state, int symbol) {
   auto key = std::make_pair(state, symbol);
-  if (base_ != nullptr) {
-    auto base_it = base_->transitions.find(key);
-    if (base_it != base_->transitions.end()) return base_it->second;
-  }
   auto it = transitions_.find(key);
   if (it != transitions_.end()) return it->second;
   uint64_t next_mask = Descend(MaskOf(state), symbol);
@@ -178,29 +156,6 @@ std::string LazyDfaFilter::SerializeState() const {
   return out;
 }
 
-void LazyDfaFilter::PublishShared() {
-  if (cache_ == nullptr ||
-      (state_of_mask_.empty() && transitions_.empty())) {
-    return;
-  }
-  // Merge base + overlay into a fresh immutable snapshot. Ids are
-  // preserved exactly (overlay ids already continue the base numbering),
-  // so adopting the merged table as the new base invalidates nothing —
-  // not even a mid-document stack, though this only runs between
-  // documents on the dispatch thread.
-  auto merged = std::make_shared<LazyDfaTable>();
-  if (base_ != nullptr) *merged = *base_;
-  merged->mask_of_state.insert(merged->mask_of_state.end(),
-                               mask_of_state_.begin(), mask_of_state_.end());
-  merged->state_of_mask.insert(state_of_mask_.begin(), state_of_mask_.end());
-  merged->transitions.insert(transitions_.begin(), transitions_.end());
-  cache_->Publish(cache_key_, merged);
-  base_ = std::move(merged);
-  state_of_mask_.clear();
-  mask_of_state_.clear();
-  transitions_.clear();
-}
-
 void LazyDfaFilter::MaterializeFully() {
   std::deque<int> queue;
   queue.push_back(InternState(1));
@@ -216,26 +171,7 @@ void LazyDfaFilter::MaterializeFully() {
 }
 
 void RegisterLazyDfaEngine(EngineRegistry& registry) {
-  // Hand-written (not RegisterFilterBankEngine): the filter factory
-  // additionally threads the pipeline's DfaTableCache into each member
-  // filter, so pool replicas and compaction rebuilds share transition
-  // tables.
-  Status status = registry.Register(
-      "lazy_dfa",
-      [](const PipelineContext& context)
-          -> Result<std::unique_ptr<Matcher>> {
-        DfaTableCache* cache = context.dfa_tables;
-        return std::unique_ptr<Matcher>(std::make_unique<FilterBankMatcher>(
-            "lazy_dfa",
-            [cache](const Query* query, SymbolTable* table)
-                -> Result<std::unique_ptr<StreamFilter>> {
-              auto filter = LazyDfaFilter::Create(query, table, cache);
-              if (!filter.ok()) return filter.status();
-              return std::unique_ptr<StreamFilter>(std::move(filter).value());
-            },
-            context.symbols));
-      });
-  (void)status;  // duplicate registration is impossible from Global()
+  RegisterFilterBankEngine<LazyDfaFilter>(registry, "lazy_dfa");
 }
 
 }  // namespace xpstream

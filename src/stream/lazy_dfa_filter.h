@@ -17,15 +17,9 @@
 /// per-event path is two integer lookups — no string touches the DFA.
 ///
 /// The MemoryStats expose materialized state and transition counts, which
-/// experiment E5 sweeps against FrontierFilter's frontier table.
-///
-/// Table sharing: when created with a DfaTableCache, the filter
-/// snapshots the cache's table for its query's canonical key as an
-/// immutable *base* and grows a private *overlay* (state ids continue
-/// past the base) — matching reads base-then-overlay with no locks, and
-/// PublishShared folds the overlay back into the cache on the dispatch
-/// thread. Ids never change under a live filter: the merged table it
-/// publishes extends its own numbering.
+/// experiment E5 sweeps against FrontierFilter's frontier table. The
+/// table is private to the filter, so those counts are exactly the
+/// states and transitions this filter's own documents materialized.
 
 #include <cstdint>
 #include <map>
@@ -33,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "stream/dfa_table_cache.h"
 #include "stream/filter.h"
 #include "stream/nfa_filter.h"
 #include "xpath/ast.h"
@@ -44,30 +37,22 @@ class LazyDfaFilter : public StreamFilter {
  public:
   /// Requires IsLinearPathQuery(*query) with at most 63 steps. Node
   /// tests resolve to Symbols in `symbols` (the pipeline's shared
-  /// table; nullptr = a private one) at creation. `cache` (may be
-  /// nullptr) shares memoized transition tables across the pipeline's
-  /// filters for structurally identical queries.
+  /// table; nullptr = a private one) at creation.
   static Result<std::unique_ptr<LazyDfaFilter>> Create(
-      const Query* query, SymbolTable* symbols = nullptr,
-      DfaTableCache* cache = nullptr);
+      const Query* query, SymbolTable* symbols = nullptr);
 
   Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<bool> Matched() const override;
   size_t DecidedAt() const override { return decided_at_; }
   std::string SerializeState() const override;
-  void PublishShared() override;
   const MemoryStats& stats() const override { return stats_; }
   std::string name() const override { return "LazyDfaFilter"; }
 
-  /// Materialized DFA size so far — shared base plus private overlay
-  /// (persists across documents, like the shared transition table of a
-  /// dissemination engine).
-  size_t NumStates() const { return BaseStates() + mask_of_state_.size(); }
-  size_t NumTransitions() const {
-    return (base_ != nullptr ? base_->transitions.size() : 0) +
-           transitions_.size();
-  }
+  /// Materialized DFA size so far (persists across documents, like the
+  /// shared transition table of a dissemination engine).
+  size_t NumStates() const { return mask_of_state_.size(); }
+  size_t NumTransitions() const { return transitions_.size(); }
 
   /// Eagerly materializes every reachable state/transition, as an
   /// eager-DFA engine would; used to measure worst-case table size.
@@ -96,29 +81,17 @@ class LazyDfaFilter : public StreamFilter {
   uint64_t Descend(uint64_t mask, int symbol) const;
   int Transition(int state, int symbol);
 
-  size_t BaseStates() const {
-    return base_ != nullptr ? base_->mask_of_state.size() : 0;
-  }
-  /// The subset mask of a state id, wherever it lives (base or overlay).
+  /// The NFA subset mask of a state id.
   uint64_t MaskOf(int state) const {
-    const size_t b = BaseStates();
-    return static_cast<size_t>(state) < b
-               ? base_->mask_of_state[static_cast<size_t>(state)]
-               : mask_of_state_[static_cast<size_t>(state) - b];
+    return mask_of_state_[static_cast<size_t>(state)];
   }
 
   std::vector<Step> steps_;
   std::vector<int> local_of_symbol_;  // Symbol id -> local id (flat)
   int alphabet_size_ = 0;             // local ids are 1..alphabet_size_
 
-  /// Immutable shared snapshot (nullptr when cacheless or never
-  /// published); read-only here, so replicas can share it lock-free.
-  std::shared_ptr<const LazyDfaTable> base_;
-  DfaTableCache* cache_ = nullptr;
-  std::string cache_key_;
-
-  // Private overlay: states/transitions discovered past the base, with
-  // ids continuing from BaseStates().
+  // The materialized DFA: states are NFA subset masks interned in
+  // discovery order; transitions map (state, local symbol) -> state.
   std::map<uint64_t, int> state_of_mask_;
   std::vector<uint64_t> mask_of_state_;
   std::map<std::pair<int, int>, int> transitions_;

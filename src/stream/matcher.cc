@@ -104,12 +104,6 @@ Result<std::vector<bool>> FilterBankMatcher::Verdicts() const {
   return verdicts;
 }
 
-void FilterBankMatcher::PublishShared() {
-  for (auto& filter : filters_) {
-    if (filter != nullptr) filter->PublishShared();
-  }
-}
-
 const MemoryStats& FilterBankMatcher::stats() const {
   stats_.Reset();
   for (const auto& filter : filters_) {

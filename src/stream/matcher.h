@@ -30,18 +30,13 @@
 
 namespace xpstream {
 
-class DfaTableCache;  // stream/dfa_table_cache.h
-class Query;          // xpath/ast.h
+class Query;  // xpath/ast.h
 
 /// Shared per-pipeline structure handed to matcher factories: every
 /// member filter of one Engine resolves names against the same
-/// SymbolTable, and engines that memoize query-shaped tables (lazy_dfa's
-/// transition tables) share them through the cache so a compaction
-/// rebuild or a pool replica never starts cold. Either pointer may be
-/// null — the component then owns a private equivalent.
+/// SymbolTable. A null table means the matcher owns a private one.
 struct PipelineContext {
   SymbolTable* symbols = nullptr;
-  DfaTableCache* dfa_tables = nullptr;
   /// Document statistics of the pipeline's stream so far (owned by the
   /// facade, updated at every document boundary). Read by planning
   /// matchers — the "auto" meta-engine prices each subscription against
@@ -110,13 +105,6 @@ class Matcher : public EventSink {
   /// Total slots ever subscribed, including tombstoned ones (the width
   /// of Verdicts() and the next dense Subscribe slot).
   virtual size_t NumSubscriptions() const = 0;
-
-  /// Folds privately accumulated shareable structure (a lazy DFA's
-  /// transition-table overlay) back into the pipeline's shared caches.
-  /// Called by the owner on the dispatch thread only — never
-  /// concurrently with matching — so implementations need no
-  /// synchronization beyond the caches' own. Default: nothing shared.
-  virtual void PublishShared() {}
 
   /// Prepares for a new document; verdicts and per-document stats reset.
   virtual Status Reset() = 0;
@@ -203,7 +191,6 @@ class FilterBankMatcher : public Matcher {
   Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<std::vector<bool>> Verdicts() const override;
-  void PublishShared() override;
   const MemoryStats& stats() const override;
 
  private:

@@ -93,7 +93,6 @@ Status NfaIndex::AddQuery(size_t id, const Query& query) {
           // Attribute nodes have no children: further steps can never
           // match, so the query is unsatisfiable. Register it with no
           // accepting state.
-          num_queries_++;
           max_id_ = std::max(max_id_, id);
           return Status::OK();
         }
@@ -107,14 +106,12 @@ Status NfaIndex::AddQuery(size_t id, const Query& query) {
           it = accepts.insert(it, AttrAccept{sym, {}});
         }
         it->ids.push_back(id);
-        num_queries_++;
         max_id_ = std::max(max_id_, id);
         return Status::OK();
       }
     }
   }
   states_[static_cast<size_t>(current)].accepts.push_back(id);
-  num_queries_++;
   max_id_ = std::max(max_id_, id);
   return Status::OK();
 }
@@ -129,7 +126,6 @@ void NfaIndex::RemoveQuery(size_t id) {
       erase_id(&accept.ids);
     }
   }
-  if (num_queries_ > 0) --num_queries_;
 }
 
 Result<std::vector<bool>> NfaIndex::FilterDocument(const EventStream& events) {

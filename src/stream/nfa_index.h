@@ -54,8 +54,6 @@ class NfaIndex {
   /// vector). Fails with kUnsupported for twig queries.
   Status AddQuery(size_t id, const Query& query);
 
-  size_t NumQueries() const { return num_queries_; }
-
   /// Removes every acceptance of query `id` (one O(states) sweep over
   /// accept lists). States and edges stay — shared prefixes may serve
   /// other queries and the verdict width (max id) is unchanged — so
@@ -119,7 +117,6 @@ class NfaIndex {
 
   SymbolTableRef symbols_;
   std::vector<State> states_;
-  size_t num_queries_ = 0;
   size_t max_id_ = 0;
   mutable std::unique_ptr<NfaIndexRun> batch_run_;
   mutable MemoryStats stats_;

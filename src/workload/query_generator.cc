@@ -128,8 +128,4 @@ std::string FrontierFamilyQueryText(size_t k) {
   return text;
 }
 
-std::string RecursionFamilyQueryText() { return "//a[b and c]"; }
-
-std::string DepthFamilyQueryText() { return "/a/b"; }
-
 }  // namespace xpstream

@@ -12,10 +12,8 @@
 ///  * GenerateLinearQuery — single-path queries (the fragment the
 ///    automaton baselines support).
 ///
-/// Plus fixed families used by the benchmarks:
-///  * FrontierFamilyQuery(k) — FS = k+1 via k sibling predicates;
-///  * RecursionFamilyQuery — the //a[b and c] shape of Thm 4.5;
-///  * DepthFamilyQuery — the /a/b shape of Thm 4.6.
+/// Plus a fixed family used by the benchmarks:
+///  * FrontierFamilyQuery(k) — FS = k+1 via k sibling predicates.
 
 #include <memory>
 #include <string>
@@ -51,12 +49,6 @@ Result<std::unique_ptr<Query>> GenerateLinearQuery(Random* rng, size_t steps,
 /// "/r[p0 > 0 and p1 > 1 and ... and p(k-1) > k-1]/s" — frontier size
 /// k+1, all names distinct (redundancy-free).
 std::string FrontierFamilyQueryText(size_t k);
-
-/// "//a[b and c]" with fresh names when requested.
-std::string RecursionFamilyQueryText();
-
-/// "/a/b".
-std::string DepthFamilyQueryText();
 
 }  // namespace xpstream
 

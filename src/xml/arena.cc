@@ -6,7 +6,6 @@ namespace xpstream {
 
 void Arena::Reset() {
   active_ = 0;
-  used_ = 0;
   if (blocks_.empty()) {
     cursor_ = nullptr;
     remaining_ = 0;
@@ -24,7 +23,6 @@ char* Arena::AllocSlow(size_t n) {
     if (blocks_[active_].size >= n) {
       cursor_ = blocks_[active_].data.get() + n;
       remaining_ = blocks_[active_].size - n;
-      used_ += n;
       return blocks_[active_].data.get();
     }
   }
@@ -40,7 +38,6 @@ char* Arena::AllocSlow(size_t n) {
   active_ = blocks_.size() - 1;
   cursor_ = blocks_[active_].data.get() + n;
   remaining_ = blocks_[active_].size - n;
-  used_ += n;
   return blocks_[active_].data.get();
 }
 

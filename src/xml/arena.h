@@ -57,7 +57,6 @@ class Arena {
     char* p = cursor_;
     cursor_ += n;
     remaining_ -= n;
-    used_ += n;
     return p;
   }
 
@@ -67,15 +66,11 @@ class Arena {
   void TrimLast(size_t unused) {
     cursor_ -= unused;
     remaining_ += unused;
-    used_ -= unused;
   }
 
   /// Rewinds to empty, keeping every allocated block for reuse. All
   /// previously returned views/pointers become invalid.
   void Reset();
-
-  /// Bytes handed out since the last Reset().
-  size_t UsedBytes() const { return used_; }
 
   /// Total heap bytes held by the arena's blocks (retained across
   /// Reset) — the `arena_bytes` MemoryStats gauge.
@@ -95,7 +90,6 @@ class Arena {
   size_t active_ = 0;       // blocks_[active_] is the bump target
   char* cursor_ = nullptr;  // next free byte in the active block
   size_t remaining_ = 0;    // free bytes after cursor_
-  size_t used_ = 0;         // bytes handed out since Reset
   size_t footprint_ = 0;    // sum of block sizes
 };
 

@@ -106,11 +106,6 @@ class XmlParser {
   /// document was complete and well-formed.
   Status Finish();
 
-  /// Heap bytes retained by the parser's scratch arena (the engine's
-  /// arena_bytes gauge reads the external arena directly; this covers
-  /// the parser-owned case).
-  size_t ArenaFootprintBytes() const { return arena_->FootprintBytes(); }
-
  private:
   enum class State {
     kProlog,        // before the root element

@@ -258,47 +258,6 @@ TEST(EnginePoolTest, PreParsedEventsMatchXmlSubmission) {
   }
 }
 
-// Round-robin dispatch trades work conservation for a deterministic
-// document -> replica assignment; results must not change.
-TEST(EnginePoolTest, RoundRobinDispatchKeepsParity) {
-  const std::vector<std::string> queries = GeneratedQueries(7, 99);
-  const std::vector<std::string> corpus = XmlCorpus(6, 3);
-  EngineOptions engine_options;
-  engine_options.engine = "nfa";
-  engine_options.keep_history = false;
-  const std::vector<DocExpected> expected =
-      SerialReference(engine_options, queries, corpus);
-
-  PipelineOptions options;
-  options.engine = engine_options;
-  options.workers = 2;
-  options.dispatch = DispatchPolicy::kRoundRobin;
-  auto pool = EnginePool::Create(options);
-  ASSERT_TRUE(pool.ok());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ASSERT_TRUE(
-        (*pool)
-            ->Subscribe("s" + std::to_string(q), queries[q], ModeOf(q))
-            .ok());
-  }
-  RecordingSink sink;
-  (*pool)->SetSink(&sink);
-  for (size_t ci = 0; ci < corpus.size(); ++ci) {
-    uint64_t doc = 0;
-    ASSERT_TRUE((*pool)->SubmitXml(corpus[ci], &doc).ok());
-    // Single-threaded submission assigns indices in order.
-    EXPECT_EQ(doc, ci);
-  }
-  (*pool)->Drain();
-  for (size_t ci = 0; ci < corpus.size(); ++ci) {
-    const RecordingSink::Doc& got = sink.docs[ci];
-    ASSERT_TRUE(got.done);
-    EXPECT_EQ(got.matches, expected[ci].matches) << "doc " << ci;
-    EXPECT_EQ(got.verdicts, expected[ci].verdicts) << "doc " << ci;
-    EXPECT_EQ(got.decided, expected[ci].decided) << "doc " << ci;
-  }
-}
-
 // A sink that parks the worker inside a document's completion callback
 // until released — pins one document "in evaluation" so queue-full
 // states can be asserted deterministically, without timing.
@@ -366,66 +325,74 @@ TEST(EnginePoolTest, FullQueueRejectsTrySubmitAndCountsIt) {
 // pool quiesces around each mutation, so every completed document was
 // evaluated under one coherent population snapshot — its verdict
 // vector is exactly as wide as the ids it reports, and the named
-// subscriptions answer correctly whichever snapshot it was.
+// subscriptions answer correctly whichever snapshot it was. lazy_dfa
+// runs it too: its filters keep their materialized DFA across
+// documents, and each compaction under live traffic restarts every
+// replica's rebuilt filters from an empty table.
 TEST(EnginePoolTest, MutationsQuiesceWithoutPerturbingTraffic) {
-  PipelineOptions options;
-  options.engine.engine = "frontier";
-  options.workers = 3;
-  options.queue_depth = 8;
-  auto pool = EnginePool::Create(options);
-  ASSERT_TRUE(pool.ok());
-  ASSERT_TRUE((*pool)->Subscribe("hit", "//b").ok());
-  ASSERT_TRUE((*pool)->Subscribe("miss", "//nosuchname").ok());
-  RecordingSink sink;
-  (*pool)->SetSink(&sink);
+  for (const char* engine : {"frontier", "lazy_dfa"}) {
+    SCOPED_TRACE(engine);
+    PipelineOptions options;
+    options.engine.engine = engine;
+    options.workers = 3;
+    options.queue_depth = 8;
+    auto pool = EnginePool::Create(options);
+    ASSERT_TRUE(pool.ok());
+    ASSERT_TRUE((*pool)->Subscribe("hit", "//b").ok());
+    ASSERT_TRUE((*pool)->Subscribe("miss", "//nosuchname").ok());
+    RecordingSink sink;
+    (*pool)->SetSink(&sink);
 
-  constexpr int kDocs = 40;
-  std::atomic<int> remaining{kDocs};
-  auto publish = [&] {
-    while (remaining.fetch_sub(1) > 0) {
-      EXPECT_TRUE((*pool)->SubmitXml("<a><b>x</b></a>").ok());
+    constexpr int kDocs = 40;
+    std::atomic<int> remaining{kDocs};
+    auto publish = [&] {
+      while (remaining.fetch_sub(1) > 0) {
+        EXPECT_TRUE((*pool)->SubmitXml("<a><b>x</b></a>").ok());
+      }
+    };
+    std::thread one(publish);
+    std::thread two(publish);
+
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*pool)->Subscribe("extra", "//a").ok()) << i;
+      ASSERT_TRUE((*pool)->CompactSubscriptions().ok()) << i;
+      ASSERT_TRUE((*pool)->Unsubscribe("extra").ok()) << i;
+      ASSERT_TRUE((*pool)->CompactSubscriptions().ok()) << i;
     }
-  };
-  std::thread one(publish);
-  std::thread two(publish);
+    one.join();
+    two.join();
+    (*pool)->Drain();
 
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*pool)->Subscribe("extra", "//a").ok()) << i;
-    ASSERT_TRUE((*pool)->CompactSubscriptions().ok()) << i;
-    ASSERT_TRUE((*pool)->Unsubscribe("extra").ok()) << i;
-    ASSERT_TRUE((*pool)->CompactSubscriptions().ok()) << i;
-  }
-  one.join();
-  two.join();
-  (*pool)->Drain();
+    EXPECT_EQ((*pool)->documents_done(), static_cast<uint64_t>(kDocs));
+    // Every replica converged to the same final population.
+    for (size_t i = 0; i < (*pool)->workers(); ++i) {
+      EXPECT_EQ((*pool)->replica(i).NumSubscriptions(), 2u)
+          << "replica " << i;
+    }
+    SubscriptionIds final_ids = (*pool)->subscription_ids();
+    ASSERT_EQ(final_ids->size(), 2u);
+    EXPECT_EQ((*final_ids)[0], "hit");
+    EXPECT_EQ((*final_ids)[1], "miss");
 
-  EXPECT_EQ((*pool)->documents_done(), static_cast<uint64_t>(kDocs));
-  // Every replica converged to the same final population.
-  for (size_t i = 0; i < (*pool)->workers(); ++i) {
-    EXPECT_EQ((*pool)->replica(i).NumSubscriptions(), 2u) << "replica " << i;
-  }
-  SubscriptionIds final_ids = (*pool)->subscription_ids();
-  ASSERT_EQ(final_ids->size(), 2u);
-  EXPECT_EQ((*final_ids)[0], "hit");
-  EXPECT_EQ((*final_ids)[1], "miss");
-
-  int docs_seen = 0;
-  for (const auto& [doc, record] : sink.docs) {
-    EXPECT_FALSE(record.failed) << "doc " << doc;
-    ASSERT_TRUE(record.done) << "doc " << doc;
-    ++docs_seen;
-    ASSERT_EQ(record.verdicts.size(), record.ids.size()) << "doc " << doc;
-    ASSERT_EQ(record.decided.size(), record.ids.size()) << "doc " << doc;
-    for (size_t s = 0; s < record.ids.size(); ++s) {
-      if (record.ids[s] == "hit" || record.ids[s] == "extra") {
-        EXPECT_TRUE(record.verdicts[s]) << "doc " << doc << " " << record.ids[s];
-      } else {
-        EXPECT_EQ(record.ids[s], "miss");
-        EXPECT_FALSE(record.verdicts[s]) << "doc " << doc;
+    int docs_seen = 0;
+    for (const auto& [doc, record] : sink.docs) {
+      EXPECT_FALSE(record.failed) << "doc " << doc;
+      ASSERT_TRUE(record.done) << "doc " << doc;
+      ++docs_seen;
+      ASSERT_EQ(record.verdicts.size(), record.ids.size()) << "doc " << doc;
+      ASSERT_EQ(record.decided.size(), record.ids.size()) << "doc " << doc;
+      for (size_t s = 0; s < record.ids.size(); ++s) {
+        if (record.ids[s] == "hit" || record.ids[s] == "extra") {
+          EXPECT_TRUE(record.verdicts[s])
+              << "doc " << doc << " " << record.ids[s];
+        } else {
+          EXPECT_EQ(record.ids[s], "miss");
+          EXPECT_FALSE(record.verdicts[s]) << "doc " << doc;
+        }
       }
     }
+    EXPECT_EQ(docs_seen, kDocs);
   }
-  EXPECT_EQ(docs_seen, kDocs);
 }
 
 // A failed Subscribe — malformed query, duplicate id, or a fragment

@@ -324,7 +324,6 @@ TEST(AdmissionTest, RejectsSubscriptionOverBudget) {
   EXPECT_EQ((*engine)->NumSubscriptions(), 0u);
   EXPECT_EQ((*engine)->predicted_peak_bytes(), 0u);
   EXPECT_EQ((*engine)->admission_rejects(), 1u);
-  EXPECT_EQ((*engine)->stats().admission_rejects().current(), 1u);
 
   // The same subscription under a sufficient budget is admitted and
   // charged.
@@ -333,7 +332,6 @@ TEST(AdmissionTest, RejectsSubscriptionOverBudget) {
   ASSERT_TRUE(roomy.ok());
   EXPECT_TRUE((*roomy)->Subscribe("s", query).ok());
   EXPECT_EQ((*roomy)->predicted_peak_bytes(), price);
-  EXPECT_EQ((*roomy)->stats().predicted_peak_bytes().current(), price);
 }
 
 TEST(AdmissionTest, DegradePolicyAdmitsAtEnd) {
