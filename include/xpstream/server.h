@@ -3,12 +3,12 @@
 
 /// \file
 /// xpstreamd — the dissemination service front-end. A Server owns one
-/// Engine and speaks a small length-prefixed binary protocol over TCP
-/// (docs/protocol.md): clients SUBSCRIBE XPath queries, stream XML
-/// documents in chunks, and receive server-pushed MATCH frames at the
-/// engine's commitment points (DeliveryMode::kEarliest reaches remote
-/// subscribers mid-document) plus a DOC_DONE verdict frame per
-/// completed document.
+/// Engine (or an EnginePool) and speaks a small length-prefixed binary
+/// protocol over TCP (docs/protocol.md): clients SUBSCRIBE XPath
+/// queries, stream XML documents in chunks, and receive server-pushed
+/// MATCH frames at the engine's commitment points
+/// (DeliveryMode::kEarliest reaches remote subscribers mid-document)
+/// plus a DOC_DONE verdict frame per completed document.
 ///
 ///   auto server = Server::Start({.engine = {.engine = "frontier"}});
 ///   auto client = Client::Connect("127.0.0.1", (*server)->port());
@@ -31,6 +31,8 @@
 ///    ingestion is serialized service-wide — one document in flight at
 ///    a time, owned by the connection that fed its first chunk, its
 ///    MATCH/DOC_DONE pushes delivered before the publisher's DOC_OK.
+///    While it streams, every connection's SUBSCRIBE, UNSUBSCRIBE and
+///    COMPACT are refused (kInvalidArgument), changing nothing.
 ///  * workers >= 2: the server owns an EnginePool
 ///    (xpstream/pipeline.h). Documents are *per-connection* in flight:
 ///    each connection may stream one document at a time, concurrently
@@ -44,6 +46,8 @@
 ///    serial mode. Per document they keep the engine's deterministic
 ///    order (MATCH ordinals nondecreasing, then DOC_DONE); frames of
 ///    different documents interleave in evaluation-completion order.
+///    Subscription changes are served mid-document; a subscription
+///    removed before a document's pushes leave gets none of them.
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +70,9 @@ struct ServerOptions {
   /// Configuration of the engine the server owns. EngineOptions::
   /// max_element_depth is overridden by the server-level default below
   /// when left at 0, so a hostile document cannot grow unbounded
-  /// open-element state unless explicitly allowed.
+  /// open-element state unless explicitly allowed. keep_history is
+  /// always turned off: a service's document stream is unbounded, and
+  /// nothing in the protocol reads the history.
   EngineOptions engine;
 
   /// Hard cap on one wire frame (length prefix + body). A frame

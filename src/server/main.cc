@@ -1,6 +1,7 @@
 // xpstreamd — the long-running XPath dissemination service. Owns one
-// Engine behind the TCP protocol of docs/protocol.md; runs until
-// SIGINT/SIGTERM, then shuts down gracefully (exit 0).
+// Engine (or, with --pipeline-workers N >= 2, an EnginePool) behind the
+// TCP protocol of docs/protocol.md; runs until SIGINT/SIGTERM, then
+// shuts down gracefully (exit 0).
 //
 //   $ xpstreamd --port 7845 --engine frontier
 //   xpstreamd listening on 127.0.0.1:7845 (engine=frontier, workers=1)
@@ -135,9 +136,8 @@ int main(int argc, char** argv) {
     }
     ++i;
   }
-  // An unbounded document stream has no use for per-document history,
-  // and a subscription committed mid-document needs no more events.
-  options.engine.keep_history = false;
+  // A subscription committed mid-document needs no more events. (The
+  // server itself turns off the per-document verdict history.)
   options.engine.short_circuit = true;
 
   if (::pipe(g_signal_pipe) != 0) {

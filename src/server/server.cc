@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -85,10 +86,12 @@ struct PendingDoc {
   }
 };
 
-/// Wire ids travel through the pool as the decimal subscription id
-/// strings the server registered ("42" <-> wire id 42).
+/// Wire ids travel through the engine and the pool as the decimal
+/// subscription id strings the server registered ("42" <-> wire id 42).
 uint32_t WireIdOf(const std::string& id) {
-  return static_cast<uint32_t>(std::stoul(id));
+  uint32_t wire_id = 0;
+  std::from_chars(id.data(), id.data() + id.size(), wire_id);
+  return wire_id;
 }
 
 }  // namespace
@@ -119,6 +122,9 @@ class Server::Impl : public SessionHost {
       engine_options.memory_budget_bytes = options_.memory_budget_bytes;
       engine_options.admission = options_.admission;
     }
+    // A service's document stream is unbounded and nothing reads the
+    // per-document verdict history, so neither executor keeps one.
+    engine_options.keep_history = false;
     effective_budget_ = engine_options.memory_budget_bytes;
     effective_depth_ = engine_options.max_element_depth;
     effective_entity_cap_ = engine_options.max_entity_expansion_bytes;
@@ -199,26 +205,19 @@ class Server::Impl : public SessionHost {
       XPS_RETURN_IF_ERROR(
           engine_->Subscribe(std::to_string(wire_id), query, delivery));
     }
-    sub_index_[wire_id] = subs_.size();
-    subs_.push_back(SubRecord{wire_id, session});
+    owners_[wire_id] = session;
     return wire_id;
   }
 
   Status OnUnsubscribe(Session* session, uint32_t sub_id) override {
-    auto it = sub_index_.find(sub_id);
+    auto it = owners_.find(sub_id);
     // A subscription is private to the connection that made it; another
     // connection's id is indistinguishable from an unknown one.
-    if (it == sub_index_.end() || subs_[it->second].owner != session) {
+    if (it == owners_.end() || it->second != session) {
       return Status::NotFound("unknown subscription id: " +
                               std::to_string(sub_id));
     }
-    if (pool_ != nullptr) {
-      XPS_RETURN_IF_ERROR(pool_->Unsubscribe(std::to_string(sub_id)));
-    } else {
-      XPS_RETURN_IF_ERROR(engine_->Unsubscribe(std::to_string(sub_id)));
-    }
-    EraseSub(it->second);
-    return Status::OK();
+    return Unsubscribe(sub_id);
   }
 
   Status OnDocChunk(Session* session, std::string_view bytes) override {
@@ -350,25 +349,18 @@ class Server::Impl : public SessionHost {
   }
 
  private:
-  struct SubRecord {
-    uint32_t wire_id;
-    /// The owning connection, or nullptr when it disconnected while a
-    /// document was in flight (detached: no delivery, engine removal
-    /// deferred to the document boundary).
-    Session* owner;
-  };
-
   /// ResultSink face of the server: engine decisions become outbound
   /// frames. Callbacks arrive on the loop thread (the engine is driven
-  /// there), inside Feed/FinishDocument.
+  /// there), inside Feed/FinishDocument, and index the engine's current
+  /// subscription order, which cannot change mid-document.
   struct Bridge : ResultSink {
     explicit Bridge(Impl* impl) : impl(impl) {}
     void OnMatch(size_t slot, size_t doc, size_t ordinal) override {
-      impl->PushMatch(slot, doc, ordinal);
+      impl->PushMatch(impl->engine_->subscription_ids(), slot, doc, ordinal);
     }
     void OnDocumentDone(size_t doc,
                         const std::vector<bool>& verdicts) override {
-      impl->PushDocDone(doc, verdicts);
+      impl->PushDocDone(impl->engine_->subscription_ids(), doc, verdicts);
     }
     Impl* impl;
   };
@@ -384,7 +376,7 @@ class Server::Impl : public SessionHost {
                  const SubscriptionIds& ids) override {
       Impl* server = impl;
       server->loop_->Post([server, doc, sub, ordinal, ids] {
-        server->PushPoolMatch(doc, sub, ordinal, *ids);
+        server->PushMatch(*ids, sub, doc, ordinal);
       });
     }
     void OnDocumentDone(uint64_t doc, const SubscriptionIds& ids,
@@ -393,7 +385,7 @@ class Server::Impl : public SessionHost {
       Impl* server = impl;
       server->loop_->Post(
           [server, doc, ids, verdicts = std::move(verdicts)] {
-            server->PushPoolDocDone(doc, *ids, verdicts);
+            server->PushDocDone(*ids, doc, verdicts);
           });
     }
     void OnDocumentError(uint64_t /*doc*/, Status /*status*/) override {
@@ -464,46 +456,6 @@ class Server::Impl : public SessionHost {
     // DOC_OK carries the pool-assigned index; the document's MATCH /
     // DOC_DONE pushes follow asynchronously when a worker evaluates it.
     return doc;
-  }
-
-  void PushPoolMatch(uint64_t doc, size_t sub, size_t ordinal,
-                     const std::vector<std::string>& ids) {
-    if (sub >= ids.size()) return;  // defensive: snapshot/pool skew
-    const uint32_t wire_id = WireIdOf(ids[sub]);
-    auto it = sub_index_.find(wire_id);
-    if (it == sub_index_.end()) return;  // unsubscribed since dispatch
-    Session* owner = subs_[it->second].owner;
-    if (owner == nullptr) return;
-    if (owner->PushMatch(wire_id, doc, ordinal)) OweFlush(owner);
-  }
-
-  void PushPoolDocDone(uint64_t doc, const std::vector<std::string>& ids,
-                       const std::vector<bool>& verdicts) {
-    // Group the document's verdicts by owning connection, preserving
-    // the snapshot's subscription order within each group — the same
-    // frame layout the serial bridge produces.
-    struct Group {
-      std::string entries;
-      uint32_t count = 0;
-    };
-    std::unordered_map<Session*, Group> groups;
-    const size_t n = std::min(verdicts.size(), ids.size());
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t wire_id = WireIdOf(ids[i]);
-      auto it = sub_index_.find(wire_id);
-      if (it == sub_index_.end()) continue;  // unsubscribed since dispatch
-      Session* owner = subs_[it->second].owner;
-      if (owner == nullptr) continue;
-      Group& group = groups[owner];
-      wire::AppendU32(&group.entries, wire_id);
-      wire::AppendU8(&group.entries, verdicts[i] ? 1 : 0);
-      ++group.count;
-    }
-    for (auto& [session, group] : groups) {
-      if (session->PushDocDone(doc, group.count, group.entries)) {
-        OweFlush(session);
-      }
-    }
   }
 
   Status Listen() {
@@ -602,34 +554,17 @@ class Server::Impl : public SessionHost {
     } else if (publisher_ == session) {
       AbortDocument();
     }
-    for (size_t i = 0; i < subs_.size();) {
-      if (subs_[i].owner != session) {
-        ++i;
-        continue;
-      }
-      if (pool_ != nullptr) {
-        // The pool quiesces internally, so removal is legal even with
-        // documents in flight; posted frames for this session resolve
-        // against sub_index_ at drain time and find nothing. A just-
-        // added id cannot be unknown, so this cannot fail.
-        pool_->Unsubscribe(std::to_string(subs_[i].wire_id));
-        EraseSub(i);
-        continue;
-      }
-      // Engine removal is barred while some other connection's document
-      // streams; detach now (stop delivering) and unsubscribe at the
-      // document boundary.
-      if (publisher_ != nullptr ||
-          !engine_->Unsubscribe(std::to_string(subs_[i].wire_id)).ok()) {
-        // Mid-document, or the engine refused removal: the engine
-        // still holds the slot, so the record must stay too (erasing
-        // it would shift indices and desynchronize subs_ from the
-        // engine). Detach delivery now, retry at a document boundary.
-        subs_[i].owner = nullptr;
-        deferred_unsubs_.push_back(subs_[i].wire_id);
-        ++i;
-      } else {
-        EraseSub(i);
+    std::vector<uint32_t> owned;
+    for (const auto& [wire_id, owner] : owners_) {
+      if (owner == session) owned.push_back(wire_id);
+    }
+    for (uint32_t wire_id : owned) {
+      // The pool removes even with documents in flight. The serial
+      // engine refuses while a document streams: detach now (stop
+      // delivering) and unsubscribe at the document boundary.
+      if (!Unsubscribe(wire_id).ok()) {
+        owners_[wire_id] = nullptr;
+        deferred_unsubs_.push_back(wire_id);
       }
     }
     loop_->Remove(fd);  // deferred reap; the handler object stays valid
@@ -646,15 +581,9 @@ class Server::Impl : public SessionHost {
   void FlushDeferredUnsubs() {
     std::vector<uint32_t> retry;
     for (uint32_t wire_id : deferred_unsubs_) {
-      auto it = sub_index_.find(wire_id);
-      if (it == sub_index_.end()) continue;
-      if (engine_->Unsubscribe(std::to_string(wire_id)).ok()) {
-        EraseSub(it->second);
-      } else {
-        // Engine kept the slot: keep the (detached) record so indices
-        // stay aligned, and try again at the next boundary.
-        retry.push_back(wire_id);
-      }
+      // The engine kept the subscription: it stays detached, and the
+      // next boundary tries again.
+      if (!Unsubscribe(wire_id).ok()) retry.push_back(wire_id);
     }
     deferred_unsubs_ = std::move(retry);
   }
@@ -670,38 +599,45 @@ class Server::Impl : public SessionHost {
     for (int fd : idle) RemoveSession(fd);
   }
 
-  void EraseSub(size_t index) {
-    sub_index_.erase(subs_[index].wire_id);
-    subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(index));
-    // Mirror the engine's shift-down semantics so slot indices in sink
-    // callbacks keep pointing at the right records.
-    for (auto& entry : sub_index_) {
-      if (entry.second > index) --entry.second;
-    }
+  /// Removes `wire_id` from whichever executor runs, then from
+  /// owners_. Fails, changing nothing, where the executor refuses: the
+  /// serial engine does while a document streams.
+  Status Unsubscribe(uint32_t wire_id) {
+    const std::string id = std::to_string(wire_id);
+    XPS_RETURN_IF_ERROR(pool_ != nullptr ? pool_->Unsubscribe(id)
+                                         : engine_->Unsubscribe(id));
+    owners_.erase(wire_id);
+    return Status::OK();
   }
 
-  void PushMatch(size_t slot, size_t doc, size_t ordinal) {
-    if (slot >= subs_.size()) return;  // defensive: bridge/engine skew
-    const SubRecord& record = subs_[slot];
-    if (record.owner == nullptr) return;  // detached mid-document
-    if (record.owner->PushMatch(record.wire_id, doc, ordinal)) {
-      OweFlush(record.owner);
-    }
+  /// Both executors' MATCH route: `sub` indexes `ids`, the subscription
+  /// order the document was evaluated under. A subscription removed
+  /// since then, or detached, has no owner and gets nothing.
+  void PushMatch(const std::vector<std::string>& ids, size_t sub,
+                 uint64_t doc, size_t ordinal) {
+    if (sub >= ids.size()) return;  // defensive: ids/executor skew
+    const uint32_t wire_id = WireIdOf(ids[sub]);
+    auto it = owners_.find(wire_id);
+    if (it == owners_.end() || it->second == nullptr) return;
+    if (it->second->PushMatch(wire_id, doc, ordinal)) OweFlush(it->second);
   }
 
-  void PushDocDone(size_t doc, const std::vector<bool>& verdicts) {
-    // Group this document's verdicts by owning connection, preserving
-    // engine subscription order within each group.
+  /// Both executors' DOC_DONE route: groups the document's verdicts by
+  /// owning connection, keeping `ids` order within each group.
+  void PushDocDone(const std::vector<std::string>& ids, uint64_t doc,
+                   const std::vector<bool>& verdicts) {
     struct Group {
       std::string entries;
       uint32_t count = 0;
     };
     std::unordered_map<Session*, Group> groups;
-    const size_t n = std::min(verdicts.size(), subs_.size());
+    const size_t n = std::min(verdicts.size(), ids.size());
     for (size_t i = 0; i < n; ++i) {
-      if (subs_[i].owner == nullptr) continue;
-      Group& group = groups[subs_[i].owner];
-      wire::AppendU32(&group.entries, subs_[i].wire_id);
+      const uint32_t wire_id = WireIdOf(ids[i]);
+      auto it = owners_.find(wire_id);
+      if (it == owners_.end() || it->second == nullptr) continue;
+      Group& group = groups[it->second];
+      wire::AppendU32(&group.entries, wire_id);
       wire::AppendU8(&group.entries, verdicts[i] ? 1 : 0);
       ++group.count;
     }
@@ -746,13 +682,16 @@ class Server::Impl : public SessionHost {
   /// the pipelined ingest path.
   size_t effective_depth_ = 0;
   size_t effective_entity_cap_ = 0;
+  /// The executors' sinks. Declared before engine_ and pool_, so they
+  /// outlive both: the pool joins the workers that call into
+  /// pool_sink_ before it goes.
+  Bridge sink_{this};
+  PoolBridge pool_sink_{this};
   std::unique_ptr<Engine> engine_;  // serial mode (pipeline_workers = 1)
   std::unique_ptr<EventLoop> loop_;
   /// Pipelined mode. Declared after loop_: destroyed first, joining
   /// the worker threads that Post() into the loop before it goes.
   std::unique_ptr<EnginePool> pool_;
-  Bridge sink_{this};
-  PoolBridge pool_sink_{this};
   int listen_fd_ = -1;
   int spare_fd_ = -1;  // EMFILE reserve; see AcceptConnections
   uint16_t port_ = 0;
@@ -764,8 +703,10 @@ class Server::Impl : public SessionHost {
   /// ends (fds, so a session reaped meanwhile is simply not found).
   std::vector<int> flush_fds_;
   PushCounters push_counters_;
-  std::vector<SubRecord> subs_;  // engine subscription order
-  std::unordered_map<uint32_t, size_t> sub_index_;  // wire id -> index
+  /// Wire id -> owning connection, for every subscription the
+  /// executor holds. nullptr: the connection closed mid-document and
+  /// the id waits in deferred_unsubs_ (no delivery meanwhile).
+  std::unordered_map<uint32_t, Session*> owners_;
   uint32_t next_wire_id_ = 1;
   uint64_t next_session_id_ = 1;
   Session* publisher_ = nullptr;  // connection feeding the open document

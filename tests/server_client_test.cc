@@ -167,86 +167,105 @@ TEST(ServerClientTest, ParityWithDirectEngineAllEngines) {
   }
 }
 
-// Subscribe/unsubscribe churn between documents: the server mirrors
-// the engine's slot compaction, so verdict frames keep naming live
-// wire ids correctly after arbitrary removals.
+// Subscribe/unsubscribe churn between documents, on both executors:
+// every MATCH and DOC_DONE entry names the wire id that held its
+// subscription position when the document ran, however many removals
+// shifted the positions before it.
 TEST(ServerClientTest, SubscribeUnsubscribeChurnParity) {
   const std::vector<std::string> queries = GeneratedQueries(9, 424242);
   const std::vector<std::string> corpus = XmlCorpus(4, 77);
 
-  ServerOptions options;
-  options.engine.engine = "nfa";
-  auto server = Server::Start(options);
-  ASSERT_TRUE(server.ok());
-  auto client = Client::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(client.ok());
+  for (size_t workers : {1, 2}) {
+    SCOPED_TRACE("pipeline_workers " + std::to_string(workers));
+    ServerOptions options;
+    options.engine.engine = "nfa";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
 
-  EngineOptions direct_options = options.engine;
-  direct_options.max_element_depth = options.max_element_depth;
-  auto direct = Engine::Create(direct_options);
-  ASSERT_TRUE(direct.ok());
-  SequenceSink sink;
-  (*direct)->SetSink(&sink);
+    EngineOptions direct_options = options.engine;
+    direct_options.max_element_depth = options.max_element_depth;
+    auto direct = Engine::Create(direct_options);
+    ASSERT_TRUE(direct.ok());
+    SequenceSink sink;
+    (*direct)->SetSink(&sink);
 
-  // Live wire ids, in engine subscription order (both engines erase
-  // with identical shift-down semantics).
-  std::vector<uint32_t> live;
-  auto subscribe = [&](const std::string& query) {
-    auto id = (*client)->Subscribe(query, DeliveryMode::kEarliest);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE((*direct)
-                    ->Subscribe(std::to_string(*id), query,
-                                DeliveryMode::kEarliest)
-                    .ok());
-    live.push_back(*id);
-  };
-  auto unsubscribe_at = [&](size_t index) {
-    const uint32_t id = live[index];
-    ASSERT_TRUE((*client)->Unsubscribe(id).ok());
-    ASSERT_TRUE((*direct)->Unsubscribe(std::to_string(id)).ok());
-    live.erase(live.begin() + static_cast<ptrdiff_t>(index));
-  };
-  auto feed_both = [&](const std::string& xml) {
-    ASSERT_TRUE((*client)->Feed(xml).ok());
-    ASSERT_TRUE((*client)->FinishDocument().ok());
-    ASSERT_TRUE((*direct)->FilterXml(xml).ok());
-  };
+    // Live wire ids in subscription order, and their copy at each
+    // document: the direct engine's slots index it.
+    std::vector<uint32_t> live;
+    std::vector<std::vector<uint32_t>> live_at_doc;
+    auto subscribe = [&](const std::string& query) {
+      auto id = (*client)->Subscribe(query, DeliveryMode::kEarliest);
+      ASSERT_TRUE(id.ok());
+      ASSERT_TRUE((*direct)
+                      ->Subscribe(std::to_string(*id), query,
+                                  DeliveryMode::kEarliest)
+                      .ok());
+      live.push_back(*id);
+    };
+    auto unsubscribe_at = [&](size_t index) {
+      const uint32_t id = live[index];
+      ASSERT_TRUE((*client)->Unsubscribe(id).ok());
+      ASSERT_TRUE((*direct)->Unsubscribe(std::to_string(id)).ok());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(index));
+    };
+    auto feed_both = [&](const std::string& xml) {
+      ASSERT_TRUE((*client)->Feed(xml).ok());
+      auto doc = (*client)->FinishDocument();
+      ASSERT_TRUE(doc.ok());
+      // A pooled server delivers after DOC_OK and drops the entries of
+      // subscriptions removed before delivery: wait before mutating.
+      ASSERT_TRUE((*client)->WaitDocDone(*doc).ok());
+      ASSERT_TRUE((*direct)->FilterXml(xml).ok());
+      live_at_doc.push_back(live);
+    };
 
-  for (size_t q = 0; q < 6; ++q) subscribe(queries[q]);
-  feed_both(corpus[0]);
-  unsubscribe_at(1);
-  unsubscribe_at(3);
-  feed_both(corpus[1]);
-  subscribe(queries[6]);
-  subscribe(queries[7]);
-  unsubscribe_at(0);
-  feed_both(corpus[2]);
-  ASSERT_TRUE((*client)->Compact().ok());
-  ASSERT_TRUE((*direct)->CompactSubscriptions().ok());
-  subscribe(queries[8]);
-  feed_both(corpus[3]);
+    for (size_t q = 0; q < 6; ++q) subscribe(queries[q]);
+    feed_both(corpus[0]);
+    unsubscribe_at(1);
+    unsubscribe_at(3);
+    feed_both(corpus[1]);
+    subscribe(queries[6]);
+    subscribe(queries[7]);
+    unsubscribe_at(0);
+    feed_both(corpus[2]);
+    ASSERT_TRUE((*client)->Compact().ok());
+    ASSERT_TRUE((*direct)->CompactSubscriptions().ok());
+    subscribe(queries[8]);
+    feed_both(corpus[3]);
 
-  // Unknown and already-removed ids are rejected without side effects.
-  EXPECT_FALSE((*client)->Unsubscribe(9999).ok());
+    // Unknown and already-removed ids are rejected without side effects.
+    EXPECT_FALSE((*client)->Unsubscribe(9999).ok());
 
-  const std::vector<ClientEvent> events = (*client)->TakeEvents();
-  ASSERT_EQ(events.size(), sink.entries.size());
-  size_t checked_docdones = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const ClientEvent& got = events[i];
-    const SequenceSink::Entry& want = sink.entries[i];
-    ASSERT_EQ(got.kind == ClientEvent::Kind::kMatch, want.is_match)
-        << "event " << i;
-    EXPECT_EQ(got.doc, want.doc);
-    if (!want.is_match) {
+    const std::vector<ClientEvent> events = (*client)->TakeEvents();
+    ASSERT_EQ(events.size(), sink.entries.size());
+    size_t checked_docdones = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+      const ClientEvent& got = events[i];
+      const SequenceSink::Entry& want = sink.entries[i];
+      ASSERT_EQ(got.kind == ClientEvent::Kind::kMatch, want.is_match)
+          << "event " << i;
+      ASSERT_EQ(got.doc, want.doc) << "event " << i;
+      ASSERT_LT(want.doc, live_at_doc.size()) << "event " << i;
+      const std::vector<uint32_t>& ids = live_at_doc[want.doc];
+      if (want.is_match) {
+        ASSERT_LT(want.slot, ids.size()) << "event " << i;
+        EXPECT_EQ(got.sub_id, ids[want.slot]) << "event " << i;
+        EXPECT_EQ(got.ordinal, want.ordinal) << "event " << i;
+        continue;
+      }
       ASSERT_EQ(got.verdicts.size(), want.verdicts.size()) << "event " << i;
+      ASSERT_EQ(got.verdicts.size(), ids.size()) << "event " << i;
       for (size_t v = 0; v < want.verdicts.size(); ++v) {
+        EXPECT_EQ(got.verdicts[v].first, ids[v]) << "event " << i;
         EXPECT_EQ(got.verdicts[v].second, want.verdicts[v]) << "event " << i;
       }
       ++checked_docdones;
     }
+    EXPECT_EQ(checked_docdones, 4u);
   }
-  EXPECT_EQ(checked_docdones, 4u);
 }
 
 // Polls STATS until `key` reaches `want` (the loop thread observes a
@@ -357,6 +376,65 @@ TEST(ServerClientTest, SubscriberDisconnectMidDocumentDefersUnsubscribe) {
   const std::vector<ClientEvent> tail = (*publisher)->TakeEvents();
   ASSERT_EQ(tail.size(), 1u);  // DOC_DONE only; //b no longer subscribed
   EXPECT_EQ(tail[0].kind, ClientEvent::Kind::kDocDone);
+}
+
+// The serial engine's population is fixed while a document streams:
+// another connection's SUBSCRIBE, UNSUBSCRIBE and COMPACT are refused
+// with status 1 (invalid argument) and change nothing, so the
+// subscription kept gets that document's pushes; after DOC_END all three
+// succeed. A pipelined server takes all three mid-document.
+TEST(ServerClientTest, SerialServerRefusesMutationsMidDocument) {
+  for (size_t workers : {1, 2}) {
+    SCOPED_TRACE("pipeline_workers " + std::to_string(workers));
+    ServerOptions options;
+    options.engine.engine = "nfa";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    auto publisher = Client::Connect("127.0.0.1", (*server)->port());
+    auto subscriber = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(publisher.ok());
+    ASSERT_TRUE(subscriber.ok());
+    auto kept = (*subscriber)->Subscribe("//b", DeliveryMode::kEarliest);
+    ASSERT_TRUE(kept.ok());
+
+    ASSERT_TRUE((*publisher)->Feed("<a><b/>").ok());
+    // The STATS round trip guarantees the chunk opened the document.
+    ASSERT_TRUE((*publisher)->Stats().ok());
+    auto added = (*subscriber)->Subscribe("//c");
+    const Status removed = (*subscriber)->Unsubscribe(*kept);
+    const Status compacted = (*subscriber)->Compact();
+    if (workers == 2) {
+      EXPECT_TRUE(added.ok()) << added.status().ToString();
+      EXPECT_TRUE(removed.ok()) << removed.ToString();
+      EXPECT_TRUE(compacted.ok()) << compacted.ToString();
+      ASSERT_TRUE((*publisher)->Feed("</a>").ok());
+      ASSERT_TRUE((*publisher)->FinishDocument().ok());
+      continue;
+    }
+    EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(removed.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(compacted.code(), StatusCode::kInvalidArgument);
+    auto stats = (*subscriber)->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats->find("subscriptions=1\n"), std::string::npos) << *stats;
+
+    ASSERT_TRUE((*publisher)->Feed("</a>").ok());
+    auto doc = (*publisher)->FinishDocument();
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE((*subscriber)->WaitDocDone(*doc).ok());
+    const std::vector<ClientEvent> events = (*subscriber)->TakeEvents();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, ClientEvent::Kind::kMatch);
+    EXPECT_EQ(events[0].sub_id, *kept);
+    ASSERT_EQ(events[1].verdicts.size(), 1u);
+    EXPECT_EQ(events[1].verdicts[0].first, *kept);
+    EXPECT_TRUE(events[1].verdicts[0].second);
+
+    EXPECT_TRUE((*subscriber)->Subscribe("//c").ok());
+    EXPECT_TRUE((*subscriber)->Unsubscribe(*kept).ok());
+    EXPECT_TRUE((*subscriber)->Compact().ok());
+  }
 }
 
 // Stop() with live, mid-conversation connections: the loop drains and

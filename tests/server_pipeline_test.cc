@@ -7,7 +7,8 @@
 // per-connection in-flight model (two publishers mid-document at
 // once), queue-full backpressure surfacing as a retryable
 // kResourceExhausted at DOC_END, publisher death mid-document under
-// load, and the pipeline STATS keys.
+// load, the pipeline STATS keys, and destruction while workers still
+// evaluate.
 //
 // The worker count honors XPSTREAM_PIPELINE_WORKERS (CI's TSan job
 // re-runs this binary at several widths); defaults to 4.
@@ -394,6 +395,37 @@ TEST(ServerPipelineTest, PublisherDeathMidDocumentLeavesServiceClean) {
   EXPECT_EQ(matches, 2u);
   AwaitStat(subscriber->get(), "documents_seen", 2);
   (*server)->Stop();
+}
+
+// Destroying a pipelined server while its workers still evaluate
+// queued documents: the pool joins its workers before the sink they
+// report to goes away. A plain build passes either way; only
+// ThreadSanitizer sees a sink destroyed first.
+TEST(ServerPipelineTest, DestroyWhileWorkersEvaluate) {
+  std::string xml = "<a>";
+  for (int i = 0; i < 1000; ++i) xml += "<b><c>x</c></b>";
+  xml += "</a>";
+  for (int round = 0; round < 2; ++round) {
+    ServerOptions options;
+    options.engine.engine = "nfa";
+    options.pipeline_workers = 2;
+    auto started = Server::Start(options);
+    ASSERT_TRUE(started.ok());
+    std::unique_ptr<Server> server = std::move(started).value();
+    auto client = Client::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok());
+    for (int q = 0; q < 32; ++q) {
+      ASSERT_TRUE((*client)
+                      ->Subscribe(q % 2 == 0 ? "//c" : "//b/c",
+                                  DeliveryMode::kEarliest)
+                      .ok());
+    }
+    for (int d = 0; d < 6; ++d) {
+      ASSERT_TRUE((*client)->Feed(xml).ok());
+      ASSERT_TRUE((*client)->FinishDocument().ok()) << "doc " << d;
+    }
+    server.reset();  // no drain: the workers may still be evaluating
+  }
 }
 
 }  // namespace
