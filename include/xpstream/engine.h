@@ -11,10 +11,11 @@
 ///   (*engine)->FinishDocument();
 ///   bool hit = *(*engine)->Matched("cheap-books");
 ///
-/// The algorithm is selected by registry name — "naive", "nfa",
-/// "lazy_dfa", "frontier" (the paper's Section 8 algorithm, the
-/// default), or "nfa_index" (a YFilter-style shared automaton for
-/// thousand-query dissemination). Single-query filtering and multi-query
+/// The algorithm is selected by name — "naive", "nfa", "lazy_dfa",
+/// "frontier" (the paper's Section 8 algorithm, the default), or
+/// "nfa_index" (a YFilter-style shared automaton for thousand-query
+/// dissemination) — or "auto", which lets the query planner pick one
+/// per subscription. Single-query filtering and multi-query
 /// dissemination use the same subscription model; every engine reports
 /// uniform MemoryStats.
 ///
@@ -41,7 +42,6 @@
 
 namespace xpstream {
 
-class Matcher;      // internal (stream/matcher.h)
 class SymbolTable;  // internal (xml/symbol_table.h)
 class XmlParser;    // internal (xml/parser.h)
 
@@ -108,12 +108,13 @@ class ResultSink {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// Registry name of the filtering algorithm — or "auto", which routes
-  /// each subscription to the engine the query planner
-  /// (xpstream/planner.h) predicts cheapest for it, falling back down
-  /// the ranking when an engine rejects the query at Subscribe time.
-  /// "auto" is a routing policy, not a registry engine, so it does not
-  /// appear in AvailableEngines().
+  /// Name of the filtering algorithm — one of AvailableEngines() — or
+  /// "auto", which routes each new evaluation slot to the engine the
+  /// query planner (xpstream/planner.h) predicts cheapest for it,
+  /// falling back down the ranking when an engine rejects the query at
+  /// Subscribe time. "auto" is a routing policy over the built-in
+  /// algorithms, not an algorithm, so it does not appear in
+  /// AvailableEngines().
   std::string engine = "frontier";
 
   /// Per-engine (per-tenant) admission budget in predicted peak bytes;
@@ -199,8 +200,8 @@ struct EngineSharedContext {
 
 class Engine : public EventSink {
  public:
-  /// Creates an engine; kNotFound when options.engine names no
-  /// registered algorithm.
+  /// Creates an engine; kNotFound when options.engine names neither a
+  /// built-in algorithm nor "auto".
   static Result<std::unique_ptr<Engine>> Create(const EngineOptions& options);
 
   /// Convenience overload: default options with the named algorithm.
@@ -214,12 +215,12 @@ class Engine : public EventSink {
   static Result<std::unique_ptr<Engine>> Create(
       const EngineOptions& options, const EngineSharedContext& shared);
 
-  /// Registry names available for EngineOptions::engine, sorted.
+  /// Built-in algorithm names for EngineOptions::engine, sorted.
   static std::vector<std::string> AvailableEngines();
 
   ~Engine() override;
 
-  /// The registry name this engine was created under.
+  /// The EngineOptions::engine name this engine was created under.
   const std::string& engine_name() const { return options_.engine; }
 
   // --- subscriptions -----------------------------------------------
@@ -262,17 +263,17 @@ class Engine : public EventSink {
   /// capacity is reclaimed only by CompactSubscriptions().
   Status Unsubscribe(std::string_view id);
 
-  /// Rebuilds the matcher without tombstoned slots — the deferred half
+  /// Rebuilds the matchers without tombstoned slots — the deferred half
   /// of Unsubscribe's tombstone-then-compact contract, to be called in
-  /// a maintenance window between documents. Under "auto" this is also
-  /// the re-routing point: every surviving slot is re-priced against
-  /// the *observed* document profile (not the assumed one it may have
-  /// been admitted under) and re-routed to the now-cheapest engine, so
-  /// a compact also fires with zero tombstones when the ranking of some
-  /// slot has changed. No-op when nothing is tombstoned and no slot
-  /// would re-route. On failure the engine is unchanged (the old
-  /// matcher keeps serving). This is the only operation that rebuilds
-  /// the automaton; automaton_rebuilds() counts exactly these.
+  /// a maintenance window between documents. Every surviving slot is
+  /// re-priced against the *observed* document profile (not the
+  /// assumed one it may have been admitted under); under "auto" it is
+  /// also re-routed to the now-cheapest engine, so a compact also fires
+  /// with zero tombstones when the ranking of some slot has changed.
+  /// No-op when nothing is tombstoned and no slot would re-route. On
+  /// failure the engine is unchanged (the old matchers keep serving).
+  /// This is the only operation that rebuilds the automaton;
+  /// automaton_rebuilds() counts exactly these.
   Status CompactSubscriptions();
 
   /// Live logical subscriptions (fan-out entries, not eval slots).
@@ -412,8 +413,10 @@ class Engine : public EventSink {
 
   // --- memory accounting -------------------------------------------
 
-  /// Stats of the current / most recent document (for a filter-bank
-  /// engine, summed over the per-subscription filters), plus the
+  /// Stats of the current / most recent document (summed over the
+  /// algorithms in use — under "auto", every engine some slot was
+  /// routed to — and for a filter-bank engine over its
+  /// per-subscription filters), plus the
   /// footprint of the engine's shared name SymbolTable in
   /// symbol_bytes. The engine owns one table for its whole pipeline:
   /// the parser interns element/attribute names into it as it
@@ -429,28 +432,37 @@ class Engine : public EventSink {
   size_t peak_buffered_bytes() const { return peak_buffered_bytes_; }
 
  private:
-  struct SinkRelay;  // the engine's MatchSink face, defined in engine.cc
+  /// One member matcher — an algorithm in use — with the map from its
+  /// slots back to evaluation slots; defined in engine.cc. A fixed
+  /// engine has exactly one member; "auto" adds one the first time a
+  /// slot lands on an algorithm.
+  struct Member;
 
-  /// One evaluation slot of the matcher: the representative compiled
-  /// query, its canonical dedup key (empty = not dedupable, private
-  /// slot), and how many logical subscriptions fan out of it.
+  /// Where an evaluation slot runs: slot `local` of members_[member].
+  struct Placement {
+    size_t member = 0;
+    size_t local = 0;
+  };
+
+  /// One evaluation slot: the representative compiled query, its
+  /// canonical dedup key (empty = not dedupable, private slot), and how
+  /// many logical subscriptions fan out of it.
   struct EvalSlot {
     std::string key;
     CompiledQuery query;
     size_t refs;
     bool tombstoned;
-    /// Planner record, fixed at admission: which engine evaluates the
-    /// slot, what peak the planner predicted (the bytes charged against
-    /// the budget), and whether admission degraded it.
-    std::string planned_engine;
+    Placement placement;
+    /// Planner record, fixed at admission and re-priced at compaction:
+    /// the peak the planner predicted (the bytes charged against the
+    /// budget), and whether admission degraded it.
     size_t predicted_bytes = 0;
     bool degraded = false;
   };
 
   Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
          std::unique_ptr<DocumentProfile> owned_profile,
-         const EngineSharedContext& effective,
-         std::unique_ptr<Matcher> matcher);
+         const EngineSharedContext& effective);
 
   /// True when some live slot's predicted-cheapest engine under the
   /// current profile differs from the one evaluating it ("auto" only) —
@@ -464,11 +476,25 @@ class Engine : public EventSink {
 
   Status CheckSubscribable(const std::string& id) const;
 
-  /// Prices one new evaluation slot for `query` against the current
-  /// profile: the predicted peak bytes of the engine that will run it
-  /// (the planner's choice under "auto", the configured engine
-  /// otherwise; 0 for engines the planner does not know).
-  size_t PredictSlotCost(const CompiledQuery& query) const;
+  /// A member running a fresh, empty matcher of `engine`.
+  Result<std::unique_ptr<Member>> NewMember(const std::string& engine);
+
+  /// The members an empty engine starts with: one for a fixed engine,
+  /// none under "auto". Create and CompactSubscriptions start here.
+  Result<std::vector<std::unique_ptr<Member>>> FreshMembers();
+
+  /// Subscribes `query` as evaluation slot `slot` on the first of
+  /// `engines` whose matcher in `members` accepts it, creating that
+  /// engine's member when `members` has none (kept only once the slot
+  /// lands on it). kUnsupported falls through to the next engine; any
+  /// other error stops. On failure `members` is unchanged.
+  Result<Placement> PlaceSlot(size_t slot, const Query* query,
+                              const std::vector<std::string>& engines,
+                              std::vector<std::unique_ptr<Member>>* members);
+
+  /// Feeds one event to every member, its name resolved once against
+  /// the engine's SymbolTable.
+  Status FeedMembers(const Event& event);
 
   /// Rebuilds slot_subs_ from sub_slot_ when stale (Subscribe /
   /// Unsubscribe mark it dirty; both are barred mid-document, so the
@@ -479,7 +505,7 @@ class Engine : public EventSink {
   /// ascending subscription order, then clears the buffer.
   void FlushPendingMatches();
 
-  /// Relay target: the matcher decided eval slot `slot`'s verdict (a
+  /// Relay target: a member decided eval slot `slot`'s verdict (a
   /// match) at `event_ordinal`; fans out to the slot's subscribers.
   void HandleSlotMatched(size_t slot, size_t event_ordinal);
 
@@ -501,28 +527,25 @@ class Engine : public EventSink {
 
   EngineOptions options_;
   /// The pipeline's shared name-interning table. Owned here — the
-  /// facade outlives the parser that interns into it and the matcher
-  /// that resolves against it; declared before matcher_ so it is
+  /// facade outlives the parser that interns into it and the matchers
+  /// that resolve against it; declared before members_ so it is
   /// destroyed after everything referencing it.
   std::unique_ptr<SymbolTable> symbols_;
   /// Privately owned document profile — null for a replica engine
   /// bound to an EngineSharedContext (the shared profile then outlives
-  /// the engine by the caller's contract). Declared before matcher_ so
-  /// it is destroyed after everything referencing it.
+  /// the engine by the caller's contract).
   std::unique_ptr<DocumentProfile> owned_profile_;
-  /// The pipeline's document profile (PipelineContext::profile points
-  /// here): the owned one above or the caller's, assumed_profile until
-  /// the first document completes, running maxima afterwards. Always
-  /// non-null after construction.
+  /// The pipeline's document profile: the owned one above or the
+  /// caller's, assumed_profile until the first document completes,
+  /// running maxima afterwards. Always non-null after construction.
   DocumentProfile* profile_ = nullptr;
   /// Locked around the document-boundary profile fold when the profile
   /// is shared across replica threads; null when the engine owns it.
   std::mutex* profile_mutex_ = nullptr;
-  std::unique_ptr<Matcher> matcher_;
-  std::unique_ptr<SinkRelay> relay_;
+  std::vector<std::unique_ptr<Member>> members_;
 
   // --- evaluation slots (dedup side) ---
-  std::vector<EvalSlot> slots_;  // matcher slot s evaluates slots_[s]
+  std::vector<EvalSlot> slots_;
   /// Canonical key -> eval slot, live (non-tombstoned) slots only.
   std::map<std::string, size_t> slot_of_key_;
   size_t tombstoned_slots_ = 0;
@@ -596,7 +619,7 @@ class Engine : public EventSink {
   mutable bool expansion_valid_ = false;
   size_t peak_table_entries_ = 0;
   size_t peak_buffered_bytes_ = 0;
-  mutable MemoryStats stats_;  // matcher stats + symbol_bytes, on demand
+  mutable MemoryStats stats_;  // member stats + symbol_bytes, on demand
 };
 
 }  // namespace xpstream

@@ -9,10 +9,11 @@
 /// factors of this codebase's data structures; docs/cost_model.md
 /// derives each one and shows worked examples against measured peaks.
 ///
-/// Two consumers: EngineOptions::engine = "auto" routes each
-/// subscription to the predicted-cheapest engine at Subscribe time, and
-/// EngineOptions::memory_budget_bytes admission-controls subscriptions
-/// whose predicted peak would overrun a tenant budget. Both use exactly
+/// The Engine plans each new evaluation slot once, and that one plan
+/// serves two decisions: EngineOptions::engine = "auto" routes the slot
+/// to the predicted-cheapest engine that accepts it, and
+/// EngineOptions::memory_budget_bytes admission-controls it when its
+/// predicted peak would overrun a tenant budget. The plan is exactly
 /// the PlanQuery() ranking below, so a caller can reproduce (and audit)
 /// every decision the engine makes:
 ///
@@ -91,7 +92,7 @@ struct QueryPlan {
 QueryPlan PlanQuery(const CompiledQuery& query, const DocumentProfile& profile);
 
 /// Prices `query` on one engine; kNotFound for unknown engine names
-/// (the "auto" meta-engine is not priceable — plan it instead).
+/// ("auto" is not an engine and is not priceable — plan it instead).
 Result<CostEstimate> EstimateEngineCost(const CompiledQuery& query,
                                         const DocumentProfile& profile,
                                         const std::string& engine);

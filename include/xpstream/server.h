@@ -67,12 +67,15 @@ struct ServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
 
-  /// Configuration of the engine the server owns. EngineOptions::
-  /// max_element_depth is overridden by the server-level default below
-  /// when left at 0, so a hostile document cannot grow unbounded
-  /// open-element state unless explicitly allowed. keep_history is
-  /// always turned off: a service's document stream is unbounded, and
-  /// nothing in the protocol reads the history.
+  /// Configuration of the engine the server owns, admission budget and
+  /// policy included: a SUBSCRIBE over memory_budget_bytes is answered
+  /// with an ERROR frame carrying kResourceExhausted (or admitted
+  /// degraded). max_element_depth and max_entity_expansion_bytes are
+  /// overridden by the server-level defaults below when left at 0, so a
+  /// hostile document cannot grow unbounded open-element state or
+  /// decode work unless explicitly allowed. keep_history is always
+  /// turned off: a service's document stream is unbounded, and nothing
+  /// in the protocol reads the history.
   EngineOptions engine;
 
   /// Hard cap on one wire frame (length prefix + body). A frame
@@ -106,18 +109,6 @@ struct ServerOptions {
   /// the queue full is answered kResourceExhausted and the document is
   /// dropped — publisher backpressure. xpstreamd: --doc-queue-depth.
   size_t doc_queue_depth = 16;
-
-  /// Admission budget applied to the engine, in predicted peak bytes
-  /// (0 = no admission control); used only when
-  /// options.engine.memory_budget_bytes is 0. A SUBSCRIBE whose
-  /// predicted peak would overrun it is answered with an ERROR frame
-  /// carrying StatusCode::kResourceExhausted (or admitted degraded,
-  /// per `admission`).
-  size_t memory_budget_bytes = 0;
-
-  /// Policy for over-budget SUBSCRIBEs, applied together with the
-  /// server-level memory_budget_bytes above.
-  AdmissionPolicy admission = AdmissionPolicy::kReject;
 
   /// Per-connection output buffer cap, in unsent frames. At the cap
   /// the server stops reading the connection's own requests; pushed

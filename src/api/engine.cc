@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/canonical.h"
-#include "planner/auto_matcher.h"
 #include "planner/cost_model.h"
 #include "stream/engine_registry.h"
 #include "stream/matcher.h"
@@ -15,49 +14,69 @@
 
 namespace xpstream {
 
-/// The facade's MatchSink face: forwards matcher decisions into the
-/// engine's per-document bookkeeping (and on to the public ResultSink).
-struct Engine::SinkRelay : MatchSink {
-  explicit SinkRelay(Engine* engine) : engine(engine) {}
-  void OnSlotMatched(size_t slot, size_t ordinal) override {
-    engine->HandleSlotMatched(slot, ordinal);
+struct Engine::Member : MatchSink {
+  Member(Engine* owner, std::unique_ptr<Matcher> engine_matcher)
+      : engine(owner), matcher(std::move(engine_matcher)) {
+    matcher->SetSink(this);
+    // The per-slot commitment cut.
+    matcher->EnableShortCircuit(engine->options_.short_circuit);
   }
+  Member(const Member&) = delete;
+  Member& operator=(const Member&) = delete;
+
+  void OnSlotMatched(size_t local, size_t ordinal) override {
+    engine->HandleSlotMatched(slots[local], ordinal);
+  }
+
   Engine* engine;
+  std::unique_ptr<Matcher> matcher;
+  std::vector<size_t> slots;  ///< member slot -> evaluation slot
 };
 
 Engine::Engine(EngineOptions options, std::unique_ptr<SymbolTable> symbols,
                std::unique_ptr<DocumentProfile> owned_profile,
-               const EngineSharedContext& effective,
-               std::unique_ptr<Matcher> matcher)
+               const EngineSharedContext& effective)
     : options_(std::move(options)),
       symbols_(std::move(symbols)),
       owned_profile_(std::move(owned_profile)),
       profile_(effective.profile),
-      profile_mutex_(effective.profile_mutex),
-      matcher_(std::move(matcher)),
-      relay_(std::make_unique<SinkRelay>(this)) {
-  matcher_->SetSink(relay_.get());
-}
+      profile_mutex_(effective.profile_mutex) {}
 
 Engine::~Engine() = default;
 
 namespace {
 
-/// Builds the matcher for `options`. Shared by Engine::Create and
-/// CompactSubscriptions (which rebuilds into the same pipeline context).
-Result<std::unique_ptr<Matcher>> BuildMatcher(const EngineOptions& options,
-                                              const PipelineContext& context) {
-  // "auto" is a routing policy over registry engines, not a registry
-  // engine itself (it must not show up in AvailableEngines()), so the
-  // facade resolves it here to the planner-backed AutoMatcher.
-  auto matcher =
-      options.engine == "auto"
-          ? AutoMatcher::Create(context)
-          : EngineRegistry::Global().CreateMatcher(options.engine, context);
-  if (!matcher.ok()) return matcher.status();
-  // The per-slot commitment cut; AutoMatcher forwards it to its members.
-  (*matcher)->EnableShortCircuit(options.short_circuit);
-  return matcher;
+/// Where a new evaluation slot may run, read off one query plan.
+struct SlotRoute {
+  /// Engines to try in order: the configured one, or under "auto" every
+  /// engine the planner expects to accept the query, cheapest first.
+  std::vector<std::string> engines;
+  /// The predicted peak bytes admission charges: the configured
+  /// engine's plan row, or the plan's Choice() under "auto" (0 when no
+  /// engine is expected to accept the query).
+  size_t price = 0;
+};
+
+/// Plans `query` once against `profile`, for both routing and pricing
+/// on `engine` (an EngineOptions::engine name).
+SlotRoute RouteSlot(const std::string& engine, const CompiledQuery& query,
+                    const DocumentProfile& profile) {
+  const QueryPlan plan = BuildQueryPlan(*query.query(), profile);
+  const bool routed = engine == "auto";
+  SlotRoute route;
+  for (const EnginePrediction& prediction : plan.ranking) {
+    if (routed ? !prediction.supported : prediction.engine != engine) {
+      continue;
+    }
+    // The first row taken is the one admission charges: the configured
+    // engine's, or under "auto" the plan's Choice() (the ranking lists
+    // supported engines first, cheapest first).
+    if (route.engines.empty()) {
+      route.price = prediction.cost.PredictedPeakBytes();
+    }
+    route.engines.push_back(prediction.engine);
+  }
+  return route;
 }
 
 }  // namespace
@@ -70,7 +89,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(
     const EngineOptions& options, const EngineSharedContext& shared) {
   // One SymbolTable per engine pipeline: the facade's parser interns
   // into it, subscriptions resolve their node tests against it, and the
-  // matcher dispatches on its ids. It is never shared across pool
+  // member matchers dispatch on its ids. It is never shared across pool
   // replicas — interning is single-threaded by design. The
   // DocumentProfile *is* shareable: when the caller supplies one (an
   // EnginePool wiring up replicas) this engine borrows it; otherwise it
@@ -86,14 +105,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(
     effective.profile_mutex = nullptr;  // private profile needs no lock
   }
 
-  PipelineContext context;
-  context.symbols = symbols.get();
-  context.profile = effective.profile;
-  auto matcher = BuildMatcher(options, context);
-  if (!matcher.ok()) return matcher.status();
-  return std::unique_ptr<Engine>(new Engine(
-      options, std::move(symbols), std::move(owned_profile), effective,
-      std::move(matcher).value()));
+  std::unique_ptr<Engine> engine(new Engine(
+      options, std::move(symbols), std::move(owned_profile), effective));
+  auto members = engine->FreshMembers();
+  if (!members.ok()) return members.status();
+  engine->members_ = std::move(members).value();
+  return engine;
 }
 
 Result<std::unique_ptr<Engine>> Engine::Create(std::string_view engine_name) {
@@ -102,9 +119,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(std::string_view engine_name) {
   return Create(options);
 }
 
-std::vector<std::string> Engine::AvailableEngines() {
-  return EngineRegistry::Global().Names();
-}
+std::vector<std::string> Engine::AvailableEngines() { return EngineNames(); }
 
 Status Engine::CheckSubscribable(const std::string& id) const {
   if (in_document_ || parser_ != nullptr) {
@@ -127,21 +142,53 @@ DocumentProfile Engine::ProfileSnapshot() const {
   return *profile_;
 }
 
-size_t Engine::PredictSlotCost(const CompiledQuery& query) const {
-  const DocumentProfile profile = ProfileSnapshot();
-  const QueryPlan plan = BuildQueryPlan(*query.query(), profile);
-  if (options_.engine == "auto") {
-    const EnginePrediction* choice = plan.Choice();
-    return choice != nullptr ? choice->cost.PredictedPeakBytes() : 0;
+Result<std::unique_ptr<Engine::Member>> Engine::NewMember(
+    const std::string& engine) {
+  auto matcher = CreateMatcher(engine, symbols_.get());
+  if (!matcher.ok()) return matcher.status();
+  return std::make_unique<Member>(this, std::move(matcher).value());
+}
+
+Result<std::vector<std::unique_ptr<Engine::Member>>> Engine::FreshMembers() {
+  std::vector<std::unique_ptr<Member>> members;
+  if (options_.engine != "auto") {
+    auto member = NewMember(options_.engine);
+    if (!member.ok()) return member.status();
+    members.push_back(std::move(member).value());
   }
-  for (const EnginePrediction& prediction : plan.ranking) {
-    if (prediction.engine == options_.engine) {
-      return prediction.cost.PredictedPeakBytes();
+  return members;
+}
+
+Result<Engine::Placement> Engine::PlaceSlot(
+    size_t slot, const Query* query, const std::vector<std::string>& engines,
+    std::vector<std::unique_ptr<Member>>* members) {
+  // The planner's support check is advisory: an engine that still
+  // rejects the query at Subscribe time falls through to the next.
+  Status last = Status::Unsupported("no engine accepts this query");
+  for (const std::string& engine : engines) {
+    size_t index = 0;
+    while (index < members->size() &&
+           (*members)[index]->matcher->name() != engine) {
+      ++index;
     }
+    std::unique_ptr<Member> created;
+    if (index == members->size()) {
+      auto member = NewMember(engine);
+      if (!member.ok()) return member.status();
+      created = std::move(member).value();
+    }
+    Member& member = created != nullptr ? *created : *(*members)[index];
+    const size_t local = member.matcher->NumSubscriptions();
+    Status status = member.matcher->Subscribe(local, query);
+    if (status.ok()) {
+      member.slots.push_back(slot);
+      if (created != nullptr) members->push_back(std::move(created));
+      return Placement{index, local};
+    }
+    if (status.code() != StatusCode::kUnsupported) return status;
+    last = std::move(status);
   }
-  // An externally registered engine the planner cannot price: admission
-  // has no basis to refuse it.
-  return 0;
+  return last;
 }
 
 Status Engine::Subscribe(std::string id, CompiledQuery query,
@@ -176,12 +223,13 @@ Status Engine::Subscribe(std::string id, CompiledQuery query,
     return Status::OK();
   }
 
-  // New evaluation slot: admission control first. The planner prices
-  // the slot on the engine that would run it (the ranking's choice
-  // under "auto") against the current document profile; a prediction
-  // that would overrun the budget rejects or degrades *before* any
-  // facade or matcher state mutates.
-  const size_t predicted = PredictSlotCost(query);
+  // New evaluation slot: one plan against the current document profile
+  // both prices it and routes it. Admission control comes first: a
+  // prediction that would overrun the budget rejects or degrades
+  // *before* any facade or matcher state mutates.
+  const SlotRoute route =
+      RouteSlot(options_.engine, query, ProfileSnapshot());
+  const size_t predicted = route.price;
   bool degraded = false;
   if (options_.memory_budget_bytes != 0 &&
       predicted_total_ + predicted > options_.memory_budget_bytes) {
@@ -200,16 +248,16 @@ Status Engine::Subscribe(std::string id, CompiledQuery query,
     mode = DeliveryMode::kAtEnd;  // no early push work for the degraded
   }
 
-  // The matcher subscribes *next*: a rejected query (outside the
+  // A member subscribes *next*: a rejected query (outside every routed
   // engine's fragment) still returns before any facade state mutates,
   // extending the engines' rejected-Subscribe non-pollution guarantee
   // to the dedup layer.
   const size_t slot = slots_.size();
-  XPS_RETURN_IF_ERROR(matcher_->Subscribe(slot, query.query()));
+  auto placement = PlaceSlot(slot, query.query(), route.engines, &members_);
+  if (!placement.ok()) return placement.status();
   if (!key.empty()) slot_of_key_.emplace(key, slot);
   slots_.push_back(EvalSlot{std::move(key), std::move(query), 1, false,
-                            matcher_->EngineForSlot(slot), predicted,
-                            degraded});
+                            *placement, predicted, degraded});
   predicted_total_ += predicted;
   id_index_.emplace(id, ids_.size());
   ids_.push_back(std::move(id));
@@ -239,11 +287,13 @@ Status Engine::Unsubscribe(std::string_view id) {
   const size_t sub = it->second;
   const size_t slot = sub_slot_[sub];
   if (slots_[slot].refs == 1) {
-    // Last subscriber of the slot: tombstone it in the matcher before
-    // mutating anything, so an engine that cannot unsubscribe leaves
-    // the facade untouched. Tombstoning never rebuilds the automaton —
-    // reclaiming the capacity is CompactSubscriptions()' job.
-    XPS_RETURN_IF_ERROR(matcher_->Unsubscribe(slot));
+    // Last subscriber of the slot: tombstone it in its member before
+    // mutating anything, so a failed tombstone leaves the facade
+    // untouched. Tombstoning never rebuilds the automaton — reclaiming
+    // the capacity is CompactSubscriptions()' job.
+    const Placement& placement = slots_[slot].placement;
+    XPS_RETURN_IF_ERROR(
+        members_[placement.member]->matcher->Unsubscribe(placement.local));
     slots_[slot].tombstoned = true;
     ++tombstoned_slots_;
     // Release the slot's budget charge: the matcher stopped evaluating
@@ -275,32 +325,35 @@ Status Engine::CompactSubscriptions() {
         "cannot compact while a document is being consumed");
   }
   // A compaction is worth a rebuild when there is capacity to reclaim
-  // *or* the observed profile has shifted the planner's ranking — the
-  // rebuilt AutoMatcher re-routes every slot to its now-cheapest engine.
+  // *or* the observed profile has shifted the planner's ranking — under
+  // "auto" the rebuild re-routes every slot to its now-cheapest engine.
   if (tombstoned_slots_ == 0 && !NeedsReroute()) return Status::OK();
 
-  // The fresh matcher plans against the *observed* profile, not the
-  // assumed one the original matcher may have been built with: this is
-  // what re-routes slots whose cheapest engine changed as documents
-  // taught the planner the real workload shape.
-  PipelineContext context;
-  context.symbols = symbols_.get();
-  context.profile = profile_;
-  auto fresh = BuildMatcher(options_, context);
+  // Fresh members plan against the *observed* profile, not the assumed
+  // one the old ones may have been built with: one plan per survivor
+  // re-prices it and re-routes it. Re-subscribe the live slots densely,
+  // in old slot order. Everything before the commit point below is
+  // fallible but touches only the fresh members — on any failure the
+  // old ones keep serving, unchanged.
+  auto fresh = FreshMembers();
   if (!fresh.ok()) return fresh.status();
-
-  // Re-subscribe the live slots densely, in old slot order. Everything
-  // up to here is fallible but touches only the fresh matcher — on any
-  // failure the old matcher keeps serving, unchanged.
   std::vector<size_t> new_of_old(slots_.size(), kNoEventOrdinal);
-  size_t next = 0;
+  std::vector<Placement> placements;
+  std::vector<size_t> prices;
   for (size_t old = 0; old < slots_.size(); ++old) {
     if (slots_[old].tombstoned) continue;
-    XPS_RETURN_IF_ERROR((*fresh)->Subscribe(next, slots_[old].query.query()));
-    new_of_old[old] = next++;
+    const SlotRoute route =
+        RouteSlot(options_.engine, slots_[old].query, ProfileSnapshot());
+    auto placement = PlaceSlot(placements.size(), slots_[old].query.query(),
+                               route.engines, &*fresh);
+    if (!placement.ok()) return placement.status();
+    new_of_old[old] = placements.size();
+    placements.push_back(*placement);
+    prices.push_back(route.price);
   }
+  const size_t next = placements.size();
 
-  // Commit point: renumber facade state and swap the matcher in. The
+  // Commit point: renumber facade state and swap the members in. The
   // per-slot results of the last document follow their slots through
   // the renumbering, so survivors stay queryable across a compaction.
   std::vector<bool> compact_verdicts(next, false);
@@ -319,42 +372,38 @@ Status Engine::CompactSubscriptions() {
   std::vector<EvalSlot> live;
   live.reserve(next);
   slot_of_key_.clear();
+  predicted_total_ = 0;
   for (auto& slot : slots_) {
     if (slot.tombstoned) continue;
-    if (!slot.key.empty()) slot_of_key_[slot.key] = live.size();
+    const size_t s = live.size();
+    if (!slot.key.empty()) slot_of_key_[slot.key] = s;
+    slot.placement = placements[s];
+    slot.predicted_bytes = prices[s];
+    predicted_total_ += prices[s];
     live.push_back(std::move(slot));
   }
   slots_ = std::move(live);
   for (size_t& s : sub_slot_) s = new_of_old[s];
   tombstoned_slots_ = 0;
-  matcher_ = std::move(fresh).value();
-  matcher_->SetSink(relay_.get());
+  members_ = std::move(fresh).value();
   ++automaton_rebuilds_;
-  // Re-price the survivors against the *current* profile (it has
-  // usually grown since they were admitted) and refresh their routed
-  // engine — under "auto" the rebuilt matcher re-planned every slot.
-  predicted_total_ = 0;
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s].predicted_bytes = PredictSlotCost(slots_[s].query);
-    slots_[s].planned_engine = matcher_->EngineForSlot(s);
-    predicted_total_ += slots_[s].predicted_bytes;
-  }
   expansion_valid_ = false;
   fanout_dirty_ = true;
   return Status::OK();
 }
 
 bool Engine::NeedsReroute() const {
-  // Only the "auto" meta-engine routes per slot; a fixed engine has
-  // nothing to re-route. Pricing every live slot is the same work a
-  // Subscribe does once — acceptable for an explicit maintenance call.
+  // Only "auto" routes per slot; a fixed engine has nothing to
+  // re-route. Planning every live slot is the same work a Subscribe
+  // does once — acceptable for an explicit maintenance call.
   if (options_.engine != "auto") return false;
-  const DocumentProfile profile = ProfileSnapshot();
   for (const EvalSlot& slot : slots_) {
     if (slot.tombstoned) continue;
-    const QueryPlan plan = BuildQueryPlan(*slot.query.query(), profile);
-    const EnginePrediction* choice = plan.Choice();
-    if (choice != nullptr && choice->engine != slot.planned_engine) {
+    const SlotRoute route =
+        RouteSlot(options_.engine, slot.query, ProfileSnapshot());
+    if (!route.engines.empty() &&
+        route.engines.front() !=
+            members_[slot.placement.member]->matcher->name()) {
       return true;
     }
   }
@@ -367,8 +416,8 @@ Result<Engine::SubscriptionPlan> Engine::PlanOf(std::string_view id) const {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
   const EvalSlot& slot = slots_[sub_slot_[it->second]];
-  return SubscriptionPlan{slot.planned_engine, slot.predicted_bytes,
-                          slot.degraded};
+  return SubscriptionPlan{members_[slot.placement.member]->matcher->name(),
+                          slot.predicted_bytes, slot.degraded};
 }
 
 Result<const CompiledQuery*> Engine::SubscribedQuery(
@@ -453,8 +502,9 @@ void Engine::EnsureFanout() {
 
 void Engine::FlushPendingMatches() {
   if (pending_matches_.empty()) return;
-  // Fan-out appends slot by slot in matcher-report order; subscriber
-  // order within the ordinal is restored here.
+  // Fan-out appends slot by slot in report order, member after member;
+  // subscriber order within the ordinal is restored here, the one place
+  // that orders deliveries across members.
   std::sort(pending_matches_.begin(), pending_matches_.end());
   for (size_t sub : pending_matches_) {
     result_sink_->OnMatch(sub, documents_seen_, pending_ordinal_);
@@ -472,7 +522,8 @@ void Engine::HandleSlotMatched(size_t slot, size_t event_ordinal) {
   if (result_sink_ == nullptr) return;
   // Buffer instead of delivering: two slots deciding at the same event
   // must reach the sink in subscriber order, which fan-out would
-  // otherwise scramble (slot order need not be subscriber order).
+  // otherwise scramble (neither slot order nor member order need be
+  // subscriber order).
   if (event_ordinal != pending_ordinal_) FlushPendingMatches();
   pending_ordinal_ = event_ordinal;
   EnsureFanout();
@@ -562,7 +613,7 @@ void Engine::FinalizeDocument() {
   }
   const size_t doc_index = documents_seen_;
   ++documents_seen_;
-  const MemoryStats& document_stats = matcher_->stats();
+  const MemoryStats& document_stats = stats();
   peak_table_entries_ = std::max(peak_table_entries_,
                                  document_stats.table_entries().peak());
   peak_buffered_bytes_ = std::max(peak_buffered_bytes_,
@@ -597,8 +648,10 @@ Status Engine::OnEvent(const Event& event) {
       pending_ordinal_ = 0;
       collector_.Reset();
       collector_.OnEvent(event);
-      XPS_RETURN_IF_ERROR(matcher_->Reset());
-      XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
+      for (const auto& member : members_) {
+        XPS_RETURN_IF_ERROR(member->matcher->Reset());
+      }
+      XPS_RETURN_IF_ERROR(FeedMembers(event));
       if (result_sink_ != nullptr) FlushPendingMatches();
       ++event_ordinal_;
       return Status::OK();
@@ -614,10 +667,15 @@ Status Engine::OnEvent(const Event& event) {
         slot_verdicts_.assign(slots_.size(), true);
         ++documents_short_circuited_;
       } else {
-        XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
-        auto verdicts = matcher_->Verdicts();
-        if (!verdicts.ok()) return verdicts.status();
-        slot_verdicts_ = std::move(verdicts).value();
+        XPS_RETURN_IF_ERROR(FeedMembers(event));
+        slot_verdicts_.assign(slots_.size(), false);
+        for (const auto& member : members_) {
+          auto verdicts = member->matcher->Verdicts();
+          if (!verdicts.ok()) return verdicts.status();
+          for (size_t local = 0; local < member->slots.size(); ++local) {
+            slot_verdicts_[member->slots[local]] = (*verdicts)[local];
+          }
+        }
       }
       FinalizeDocument();
       return Status::OK();
@@ -640,7 +698,7 @@ Status Engine::OnEvent(const Event& event) {
       collector_.OnEvent(event);
       XPS_RETURN_IF_ERROR(CheckShape(event));
       if (!short_circuited_) {
-        XPS_RETURN_IF_ERROR(matcher_->OnEvent(event));
+        XPS_RETURN_IF_ERROR(FeedMembers(event));
         // Per-event streaming keeps push delivery synchronous:
         // everything the matcher decided at this event flushes before
         // the next one.
@@ -717,9 +775,19 @@ Result<size_t> Engine::DecidedAt(std::string_view id) const {
   return slot_decided_at_[sub_slot_[it->second]];
 }
 
+Status Engine::FeedMembers(const Event& event) {
+  const Symbol name = ResolveEventName(event, symbols_.get());
+  for (const auto& member : members_) {
+    XPS_RETURN_IF_ERROR(member->matcher->OnSymbolizedEvent(event, name));
+  }
+  return Status::OK();
+}
+
 const MemoryStats& Engine::stats() const {
   stats_.Reset();
-  stats_.Accumulate(matcher_->stats());
+  for (const auto& member : members_) {
+    stats_.Accumulate(member->matcher->stats());
+  }
   // The shared table's footprint: the once-per-distinct-name cost that
   // replaces per-event string work across the whole pipeline.
   stats_.symbol_bytes().Set(symbols_->FootprintBytes());

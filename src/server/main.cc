@@ -121,13 +121,13 @@ int main(int argc, char** argv) {
       options.idle_timeout_ms = static_cast<int>(number);
     } else if (arg == "--memory-budget-bytes") {
       if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
-      options.memory_budget_bytes = static_cast<size_t>(number);
+      options.engine.memory_budget_bytes = static_cast<size_t>(number);
     } else if (arg == "--admission") {
       const std::string policy = value;
       if (policy == "reject") {
-        options.admission = AdmissionPolicy::kReject;
+        options.engine.admission = AdmissionPolicy::kReject;
       } else if (policy == "degrade") {
-        options.admission = AdmissionPolicy::kDegrade;
+        options.engine.admission = AdmissionPolicy::kDegrade;
       } else {
         return Usage(argv[0]);
       }

@@ -117,15 +117,9 @@ class Server::Impl : public SessionHost {
       engine_options.max_entity_expansion_bytes =
           options_.max_entity_expansion_bytes;
     }
-    if (engine_options.memory_budget_bytes == 0 &&
-        options_.memory_budget_bytes != 0) {
-      engine_options.memory_budget_bytes = options_.memory_budget_bytes;
-      engine_options.admission = options_.admission;
-    }
     // A service's document stream is unbounded and nothing reads the
     // per-document verdict history, so neither executor keeps one.
     engine_options.keep_history = false;
-    effective_budget_ = engine_options.memory_budget_bytes;
     effective_depth_ = engine_options.max_element_depth;
     effective_entity_cap_ = engine_options.max_entity_expansion_bytes;
 
@@ -308,7 +302,7 @@ class Server::Impl : public SessionHost {
                                     ? pool_->peak_buffered_bytes()
                                     : engine.peak_buffered_bytes());
     line("predicted_peak_bytes", engine.predicted_peak_bytes());
-    line("memory_budget_bytes", effective_budget_);
+    line("memory_budget_bytes", options_.engine.memory_budget_bytes);
     line("admission_rejects", engine.admission_rejects());
     line("admission_degrades", engine.admission_degrades());
     // Parse-substrate gauges. arena_bytes is the zero-copy parser's
@@ -674,9 +668,6 @@ class Server::Impl : public SessionHost {
   }
 
   const ServerOptions options_;
-  /// The admission budget the engine actually runs with (engine-level
-  /// option, or the server-level overlay), reported by STATS.
-  size_t effective_budget_ = 0;
   /// Effective depth / entity-expansion caps (engine-level option, or
   /// the server-level overlay) — enforced by the loop-thread parser on
   /// the pipelined ingest path.

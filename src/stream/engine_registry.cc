@@ -1,73 +1,50 @@
 #include "stream/engine_registry.h"
 
+#include "stream/frontier_filter.h"
+#include "stream/lazy_dfa_filter.h"
+#include "stream/naive_filter.h"
+#include "stream/nfa_filter.h"
+
 namespace xpstream {
 
-EngineRegistry& EngineRegistry::Global() {
-  static EngineRegistry* registry = [] {
-    auto* r = new EngineRegistry();
-    RegisterNaiveEngine(*r);
-    RegisterNfaEngine(*r);
-    RegisterLazyDfaEngine(*r);
-    RegisterFrontierEngine(*r);
-    RegisterNfaIndexEngine(*r);
-    return r;
-  }();
-  return *registry;
+namespace {
+
+/// A bank of per-subscription FilterT instances sharing one SAX scan:
+/// the shape every single-query engine takes.
+template <typename FilterT>
+std::unique_ptr<Matcher> NewFilterBank(const std::string& name,
+                                       SymbolTable* symbols) {
+  return std::make_unique<FilterBankMatcher>(
+      name,
+      [](const Query* query,
+         SymbolTable* table) -> Result<std::unique_ptr<StreamFilter>> {
+        auto filter = FilterT::Create(query, table);
+        if (!filter.ok()) return filter.status();
+        return std::unique_ptr<StreamFilter>(std::move(filter).value());
+      },
+      symbols);
 }
 
-Status EngineRegistry::Register(const std::string& name,
-                                MatcherFactory factory) {
-  if (name.empty()) {
-    return Status::InvalidArgument("engine name must be non-empty");
+}  // namespace
+
+Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
+                                               SymbolTable* symbols) {
+  if (name == "frontier") return NewFilterBank<FrontierFilter>(name, symbols);
+  if (name == "lazy_dfa") return NewFilterBank<LazyDfaFilter>(name, symbols);
+  if (name == "naive") return NewFilterBank<NaiveTreeFilter>(name, symbols);
+  if (name == "nfa") return NewFilterBank<NfaFilter>(name, symbols);
+  if (name == "nfa_index") return NewNfaIndexMatcher(symbols);
+  std::string known;
+  for (const std::string& known_name : EngineNames()) {
+    if (!known.empty()) known += ", ";
+    known += known_name;
   }
-  if (factory == nullptr) {
-    return Status::InvalidArgument("engine factory must be non-null");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    return Status::InvalidArgument("engine already registered: " + name);
-  }
-  return Status::OK();
+  return Status::NotFound("unknown engine \"" + name + "\" (registered: " +
+                          known + ")");
 }
 
-Result<std::unique_ptr<Matcher>> EngineRegistry::CreateMatcher(
-    const std::string& name, const PipelineContext& context) const {
-  MatcherFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      std::string known;
-      for (const auto& [known_name, unused] : factories_) {
-        if (!known.empty()) known += ", ";
-        known += known_name;
-      }
-      return Status::NotFound("unknown engine \"" + name +
-                              "\" (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  return factory(context);
-}
-
-Result<std::unique_ptr<Matcher>> EngineRegistry::CreateMatcher(
-    const std::string& name, SymbolTable* symbols) const {
-  PipelineContext context;
-  context.symbols = symbols;
-  return CreateMatcher(name, context);
-}
-
-bool EngineRegistry::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(name) != 0;
-}
-
-std::vector<std::string> EngineRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, unused] : factories_) names.push_back(name);
-  return names;
+std::vector<std::string> EngineNames() {
+  return {"frontier", "lazy_dfa", "naive", "nfa", "nfa_index"};
 }
 
 }  // namespace xpstream

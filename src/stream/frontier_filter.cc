@@ -4,8 +4,6 @@
 
 #include "analysis/fragment.h"
 #include "common/string_util.h"
-#include "stream/engine_registry.h"
-#include "stream/matcher.h"
 
 namespace xpstream {
 
@@ -531,10 +529,6 @@ size_t FrontierFilter::BitsPerTuple(size_t doc_depth,
                                     size_t text_width) const {
   return BitWidth(query_->size()) + BitWidth(doc_depth) +
          BitWidth(text_width) + 1;  // +1 for the matched flag
-}
-
-void RegisterFrontierEngine(EngineRegistry& registry) {
-  RegisterFilterBankEngine<FrontierFilter>(registry, "frontier");
 }
 
 }  // namespace xpstream

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "stream/engine_registry.h"
 
 namespace xpstream {
 
@@ -168,10 +167,6 @@ void LazyDfaFilter::MaterializeFully() {
       if (seen.insert(next).second) queue.push_back(next);
     }
   }
-}
-
-void RegisterLazyDfaEngine(EngineRegistry& registry) {
-  RegisterFilterBankEngine<LazyDfaFilter>(registry, "lazy_dfa");
 }
 
 }  // namespace xpstream

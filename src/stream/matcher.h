@@ -13,7 +13,8 @@
 ///    single SAX scan (frontier / nfa / lazy_dfa / naive engines);
 ///  * the shared-automaton matcher over NfaIndex (nfa_index engine),
 ///    where all subscriptions run in one automaton.
-/// Both are reached by name through the EngineRegistry.
+/// Both are created by name through CreateMatcher
+/// (stream/engine_registry.h).
 
 #include <cstdint>
 #include <functional>
@@ -25,24 +26,11 @@
 #include "common/status.h"
 #include "stream/filter.h"
 #include "xml/event.h"
-#include "xml/stats.h"
 #include "xml/symbol_table.h"
 
 namespace xpstream {
 
 class Query;  // xpath/ast.h
-
-/// Shared per-pipeline structure handed to matcher factories: every
-/// member filter of one Engine resolves names against the same
-/// SymbolTable. A null table means the matcher owns a private one.
-struct PipelineContext {
-  SymbolTable* symbols = nullptr;
-  /// Document statistics of the pipeline's stream so far (owned by the
-  /// facade, updated at every document boundary). Read by planning
-  /// matchers — the "auto" meta-engine prices each subscription against
-  /// it at Subscribe time. Null when no planner is in play.
-  const DocumentProfile* profile = nullptr;
-};
 
 /// Push-notification interface of the matcher layer: as the scan
 /// proceeds, the matcher reports each subscription slot whose verdict
@@ -51,33 +39,23 @@ struct PipelineContext {
 /// monotone, so a slot is reported at most once per document; false
 /// verdicts are never reported (they only decide at endDocument and are
 /// read from Verdicts()). Reports arrive in nondecreasing ordinal
-/// order, ascending slot within one ordinal; AutoMatcher restores this
-/// order across its members.
+/// order, ascending slot within one ordinal.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
   virtual void OnSlotMatched(size_t slot, size_t ordinal) = 0;
 };
 
-class Matcher : public EventSink {
+class Matcher {
  public:
-  ~Matcher() override = default;
+  virtual ~Matcher() = default;
 
   /// Attaches a push sink for match notifications (nullptr detaches).
   /// Must not be called between startDocument and endDocument.
   virtual void SetSink(MatchSink* sink) { sink_ = sink; }
 
-  /// Engine-registry key this matcher was created under.
+  /// Built-in engine name this matcher was created under.
   virtual std::string name() const = 0;
-
-  /// The concrete algorithm evaluating `slot`. For ordinary matchers
-  /// this is name(); routing matchers (the planner's "auto"
-  /// meta-engine) answer per slot, so the facade can report the
-  /// decision either way. `slot` must be a subscribed slot.
-  virtual std::string EngineForSlot(size_t slot) const {
-    (void)slot;
-    return name();
-  }
 
   /// Registers a subscription under the next dense slot; `slot` must
   /// equal NumSubscriptions(). The query must outlive the matcher.
@@ -95,12 +73,7 @@ class Matcher : public EventSink {
   /// enforces this). Reclaiming tombstoned capacity is the caller's
   /// deferred-compaction decision (the facade rebuilds into a fresh
   /// matcher in a maintenance window, never on the Unsubscribe path).
-  /// kUnsupported by default for external engines that predate churn.
-  virtual Status Unsubscribe(size_t slot) {
-    (void)slot;
-    return Status::Unsupported("engine \"" + name() +
-                               "\" does not support Unsubscribe");
-  }
+  virtual Status Unsubscribe(size_t slot) = 0;
 
   /// Total slots ever subscribed, including tombstoned ones (the width
   /// of Verdicts() and the next dense Subscribe slot).
@@ -114,24 +87,15 @@ class Matcher : public EventSink {
   /// matched), the matcher may stop feeding it the rest of that
   /// document. Verdicts, decided positions and sink reports stay those
   /// of a full scan; per-slot gauges stop at the commitment, so peaks
-  /// are at most a full scan's. Off by default. AutoMatcher forwards
-  /// the setting to its members, including members created later.
-  /// Must not be called between startDocument and endDocument.
-  virtual void EnableShortCircuit(bool on) { short_circuit_ = on; }
+  /// are at most a full scan's. Off by default. Must not be called
+  /// between startDocument and endDocument.
+  void EnableShortCircuit(bool on) { short_circuit_ = on; }
 
-  /// Feeds the next SAX event (EventSink interface): resolves the
-  /// event's name against symbols() once — a cached-symbol read for
-  /// events produced by a table-backed parser, one intern otherwise —
-  /// and forwards to OnSymbolizedEvent. Final so every event reaches
-  /// the engines with its symbol already resolved, exactly once.
-  Status OnEvent(const Event& event) final {
-    return OnSymbolizedEvent(event, ResolveEventName(event, symbols()));
-  }
-
-  /// The per-event hot path: `name_sym` is the event's name resolved
-  /// against symbols() (kNoSymbol for nameless events). All engines a
-  /// matcher fans the event out to share that table, so the one symbol
-  /// serves every subscription.
+  /// Feeds the next SAX event — the per-event hot path. `name_sym` is
+  /// the event's name resolved against symbols() (kNoSymbol for
+  /// nameless events), once per event by the caller: every matcher of
+  /// one Engine shares that table, so the one symbol serves every
+  /// subscription of every member.
   virtual Status OnSymbolizedEvent(const Event& event, Symbol name_sym) = 0;
 
   /// The SymbolTable this matcher's subscriptions resolve against: the
@@ -160,12 +124,6 @@ class Matcher : public EventSink {
  private:
   SymbolTableRef symbols_;
 };
-
-/// Creates a Matcher of the engine registered under `name`, wired into
-/// the pipeline's shared structures (context members may be null — the
-/// matcher then owns private equivalents).
-using MatcherFactory =
-    std::function<Result<std::unique_ptr<Matcher>>(const PipelineContext&)>;
 
 /// Creates one engine-specific StreamFilter for a subscription query,
 /// with its node tests resolved in `symbols`.

@@ -1,7 +1,5 @@
 #include "stream/naive_filter.h"
 
-#include "stream/engine_registry.h"
-#include "stream/matcher.h"
 #include "xpath/evaluator.h"
 
 namespace xpstream {
@@ -60,10 +58,6 @@ Result<bool> NaiveTreeFilter::Matched() const {
 std::string NaiveTreeFilter::SerializeState() const {
   if (done_) return matched_ ? "M1" : "M0";
   return EventStreamToString(buffered_);
-}
-
-void RegisterNaiveEngine(EngineRegistry& registry) {
-  RegisterFilterBankEngine<NaiveTreeFilter>(registry, "naive");
 }
 
 }  // namespace xpstream

@@ -1,8 +1,6 @@
 #include "stream/nfa_filter.h"
 
 #include "common/string_util.h"
-#include "stream/engine_registry.h"
-#include "stream/matcher.h"
 
 namespace xpstream {
 
@@ -137,10 +135,6 @@ std::string NfaFilter::SerializeState() const {
   std::string out = matched_ ? "M1|" : "M0|";
   for (uint64_t s : stack_) out += StringPrintf("%llx,", (unsigned long long)s);
   return out;
-}
-
-void RegisterNfaEngine(EngineRegistry& registry) {
-  RegisterFilterBankEngine<NfaFilter>(registry, "nfa");
 }
 
 }  // namespace xpstream

@@ -128,18 +128,6 @@ void NfaIndex::RemoveQuery(size_t id) {
   }
 }
 
-Result<std::vector<bool>> NfaIndex::FilterDocument(const EventStream& events) {
-  if (batch_run_ == nullptr) {
-    batch_run_ = std::make_unique<NfaIndexRun>(this);
-  }
-  XPS_RETURN_IF_ERROR(batch_run_->Reset());
-  for (const Event& event : events) {
-    XPS_RETURN_IF_ERROR(batch_run_->OnEvent(event));
-  }
-  stats_ = batch_run_->stats();
-  return batch_run_->Verdicts();
-}
-
 Status NfaIndexRun::Reset() {
   depth_ = 0;
   active_entries_ = 0;
@@ -345,15 +333,8 @@ class NfaIndexMatcher : public Matcher {
 
 }  // namespace
 
-void RegisterNfaIndexEngine(EngineRegistry& registry) {
-  Status status = registry.Register(
-      "nfa_index",
-      [](const PipelineContext& context)
-          -> Result<std::unique_ptr<Matcher>> {
-        return std::unique_ptr<Matcher>(
-            std::make_unique<NfaIndexMatcher>(context.symbols));
-      });
-  (void)status;  // duplicate registration is impossible from Global()
+std::unique_ptr<Matcher> NewNfaIndexMatcher(SymbolTable* symbols) {
+  return std::make_unique<NfaIndexMatcher>(symbols);
 }
 
 }  // namespace xpstream

@@ -25,7 +25,6 @@
 /// active-set cost on deep recursive documents).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,17 +64,6 @@ class NfaIndex {
 
   /// Total NFA states, shared across all registered queries.
   size_t NumStates() const { return states_.size(); }
-
-  /// Runs one document through the index; returns the per-query verdict
-  /// vector (indexed by the ids passed to AddQuery). Implemented as a
-  /// batch drive of an internal NfaIndexRun, whose active-set storage is
-  /// recycled across calls. (Non-const: unsymbolized event names intern
-  /// lazily into the index's table.)
-  Result<std::vector<bool>> FilterDocument(const EventStream& events);
-
-  /// Peak memory of the most recent FilterDocument run: active-set
-  /// entries across the stack.
-  const MemoryStats& stats() const { return stats_; }
 
  private:
   friend class NfaIndexRun;
@@ -118,13 +106,10 @@ class NfaIndex {
   SymbolTableRef symbols_;
   std::vector<State> states_;
   size_t max_id_ = 0;
-  mutable std::unique_ptr<NfaIndexRun> batch_run_;
-  mutable MemoryStats stats_;
 };
 
 /// Incremental (push-style) execution of an NfaIndex over one document:
-/// the streaming face the Engine facade drives event by event, extracted
-/// from the old batch-only FilterDocument loop.
+/// the streaming face the Engine facade drives event by event.
 ///
 /// The active-set stack is a high-water-mark pool: popped levels keep
 /// their vectors, so after the first descent to depth d a run performs

@@ -21,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/scenarios.h"
@@ -224,6 +226,64 @@ TEST(PlannerTest, AutoRoutesPerSubscriptionAndReportsThePlan) {
   EXPECT_EQ(*verdicts, *expected);
 }
 
+// "auto" feeds each event to several routed engines, yet its sink hears
+// every ordinal's matches in ascending subscription order: exactly the
+// union of what each routed engine reports alone.
+TEST(PlannerTest, AutoSinkOrderMergesRoutedEngines) {
+  const std::vector<std::string> queries = {
+      "//a[b and c]", "//b/@id", "//c",   "//b[@id]", "/a/*/c",
+      "/a/b",         "//b[c]",  "/a//d", "//d/c",    "/a/b/@id"};
+  const std::string xml = "<a><b id=\"1\"><c/></b><c/><d><c/></d></a>";
+
+  struct Recorder : ResultSink {
+    void OnMatch(size_t slot, size_t doc_index,
+                 size_t event_ordinal) override {
+      (void)doc_index;
+      matches.emplace_back(event_ordinal, slot);
+    }
+    std::vector<std::pair<size_t, size_t>> matches;  // (ordinal, sub)
+  };
+  auto id = [](size_t sub) { return "q" + std::to_string(sub); };
+
+  auto routed = Engine::Create("auto");
+  ASSERT_TRUE(routed.ok());
+  for (size_t sub = 0; sub < queries.size(); ++sub) {
+    ASSERT_TRUE((*routed)->Subscribe(id(sub), queries[sub],
+                                     DeliveryMode::kEarliest).ok())
+        << queries[sub];
+  }
+  Recorder got;
+  (*routed)->SetSink(&got);
+  ASSERT_TRUE((*routed)->FilterXml(xml).ok());
+
+  std::map<std::string, std::vector<size_t>> subs_of_engine;
+  for (size_t sub = 0; sub < queries.size(); ++sub) {
+    auto plan = (*routed)->PlanOf(id(sub));
+    ASSERT_TRUE(plan.ok());
+    subs_of_engine[plan->engine].push_back(sub);
+  }
+  ASSERT_GE(subs_of_engine.size(), 2u);
+
+  std::vector<std::pair<size_t, size_t>> expected;
+  for (const auto& [name, subs] : subs_of_engine) {
+    auto alone = Engine::Create(name);
+    ASSERT_TRUE(alone.ok());
+    for (size_t sub : subs) {
+      ASSERT_TRUE((*alone)->Subscribe(id(sub), queries[sub],
+                                      DeliveryMode::kEarliest).ok())
+          << name << " " << queries[sub];
+    }
+    Recorder heard;
+    (*alone)->SetSink(&heard);
+    ASSERT_TRUE((*alone)->FilterXml(xml).ok());
+    for (const auto& [ordinal, slot] : heard.matches) {
+      expected.emplace_back(ordinal, subs[slot]);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(got.matches, expected);
+}
+
 TEST(PlannerTest, ObservedProfileTakesOverFromAssumed) {
   auto engine = Engine::Create("frontier");
   ASSERT_TRUE(engine.ok());
@@ -276,6 +336,15 @@ TEST(PlannerTest, CompactReroutesSlotWhenProfileGrowthFlipsTheChoice) {
   auto after = (*engine)->PlanOf("s");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->engine, "frontier");
+  // The plan that re-routed the slot also re-priced it.
+  auto query = CompileQuery("/a/b/c");
+  ASSERT_TRUE(query.ok());
+  const QueryPlan plan = PlanQuery(*query, (*engine)->observed_profile());
+  const EnginePrediction* choice = plan.Choice();
+  ASSERT_NE(choice, nullptr);
+  EXPECT_EQ(after->predicted_peak_bytes, choice->cost.PredictedPeakBytes());
+  EXPECT_EQ((*engine)->predicted_peak_bytes(),
+            choice->cost.PredictedPeakBytes());
 
   // Re-routing changes the memory shape, never the answers.
   auto again = (*engine)->FilterXml(deep);
@@ -409,10 +478,9 @@ TEST(AdmissionTest, TcpSubscribeParity) {
   EXPECT_TRUE(libraryFirst.ok());
   EXPECT_EQ(librarySecond.code(), StatusCode::kResourceExhausted);
 
-  // TCP side: the server-level quota flag overlays the same budget.
+  // TCP side: the server runs its engine with the same options.
   ServerOptions serverOptions;
-  serverOptions.engine.engine = "frontier";
-  serverOptions.memory_budget_bytes = price;
+  serverOptions.engine = engineOptions;
   auto server = Server::Start(serverOptions);
   ASSERT_TRUE(server.ok());
   auto client = Client::Connect("127.0.0.1", (*server)->port());

@@ -12,8 +12,18 @@
 namespace xpstream {
 namespace {
 
+/// Streams one whole document through `run` and returns its verdicts.
+Result<std::vector<bool>> RunDocument(NfaIndexRun* run,
+                                      const EventStream& events) {
+  for (const Event& event : events) {
+    XPS_RETURN_IF_ERROR(run->OnEvent(event));
+  }
+  return run->Verdicts();
+}
+
 struct IndexFixture {
   NfaIndex index;
+  NfaIndexRun run{&index};
   std::vector<std::unique_ptr<Query>> queries;
 
   void Add(const std::string& text) {
@@ -26,7 +36,7 @@ struct IndexFixture {
   std::vector<bool> Run(const std::string& xml) {
     auto events = ParseXmlToEvents(xml);
     EXPECT_TRUE(events.ok());
-    auto verdicts = index.FilterDocument(events->events());
+    auto verdicts = RunDocument(&run, events->events());
     EXPECT_TRUE(verdicts.ok()) << verdicts.status().ToString();
     return verdicts.ok() ? *verdicts : std::vector<bool>{};
   }
@@ -124,6 +134,7 @@ TEST(NfaIndexTest, DifferentialAgainstSingleQueryEngines) {
   dopts.names = {"s0", "s1", "s2"};
 
   NfaIndex index;
+  NfaIndexRun run(&index);
   std::vector<std::unique_ptr<Query>> queries;
   for (size_t i = 0; i < 40; ++i) {
     auto q = GenerateLinearQuery(&rng, 1 + rng.Uniform(4), 0.4, 0.15, 3);
@@ -134,7 +145,7 @@ TEST(NfaIndexTest, DifferentialAgainstSingleQueryEngines) {
 
   for (int trial = 0; trial < 40; ++trial) {
     auto doc = GenerateRandomDocument(&rng, dopts);
-    auto verdicts = index.FilterDocument(doc->ToEvents());
+    auto verdicts = RunDocument(&run, doc->ToEvents());
     ASSERT_TRUE(verdicts.ok());
     for (size_t i = 0; i < queries.size(); ++i) {
       bool expected = BoolEval(*queries[i], *doc);
@@ -153,7 +164,7 @@ TEST(NfaIndexTest, StatsTrackActiveSets) {
   for (int i = 0; i < 20; ++i) xml += "<a>";
   for (int i = 0; i < 20; ++i) xml += "</a>";
   f.Run(xml);
-  EXPECT_GE(f.index.stats().table_entries().peak(), 20u);
+  EXPECT_GE(f.run.stats().table_entries().peak(), 20u);
 }
 
 }  // namespace
