@@ -68,8 +68,12 @@ enum class DeliveryMode {
   /// decided — its commitment point, the quantity the paper's
   /// buffering bounds reason about. Different engines commit at
   /// different positions on the same document (automata on accepting-
-  /// state entry, the frontier algorithm at endElement aggregation,
-  /// the naive engine only at endDocument).
+  /// state entry, the frontier algorithm at the event that meets the
+  /// query root's last requirement, the naive engine only at
+  /// endDocument). A document can still be aborted after a match was
+  /// pushed: no OnDocumentDone follows, and the next document reuses
+  /// its index, so only OnDocumentDone's verdicts are authoritative
+  /// for a completed document.
   kEarliest,
 };
 

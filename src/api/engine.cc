@@ -630,9 +630,9 @@ void Engine::FinalizeDocument() {
 }
 
 Status Engine::OnEvent(const Event& event) {
-  // Reset the matcher at each document start, harvest verdicts and fold
-  // peak gauges at each document end — plus push delivery and the
-  // short-circuit skip path.
+  // Start each document (members reset themselves on startDocument),
+  // harvest verdicts and fold peak gauges at each document end — plus
+  // push delivery and the short-circuit skip path.
   switch (event.type) {
     case EventType::kStartDocument:
       if (in_document_) {
@@ -648,9 +648,6 @@ Status Engine::OnEvent(const Event& event) {
       pending_ordinal_ = 0;
       collector_.Reset();
       collector_.OnEvent(event);
-      for (const auto& member : members_) {
-        XPS_RETURN_IF_ERROR(member->matcher->Reset());
-      }
       XPS_RETURN_IF_ERROR(FeedMembers(event));
       if (result_sink_ != nullptr) FlushPendingMatches();
       ++event_ordinal_;

@@ -27,15 +27,16 @@ Result<std::unique_ptr<FrontierFilter>> FrontierFilter::Create(
   filter->BindSymbols(symbols);
   // Subscription-time resolution: one symbol per query node, so
   // candidate selection on the event path never compares strings.
-  filter->node_sym_.assign(query->size(), kNoSymbol);
-  filter->node_wild_.assign(query->size(), 0);
+  filter->nodes_.assign(query->size(), NodeInfo{});
   for (const QueryNode* node : query->AllNodes()) {
     if (node->is_root()) continue;
+    NodeInfo& info = filter->nodes_[node->id()];
+    info.universal_leaf =
+        node->IsLeaf() && filter->truths_.Get(node).is_universal();
     if (node->is_wildcard()) {
-      filter->node_wild_[node->id()] = 1;
+      info.wild = true;
     } else {
-      filter->node_sym_[node->id()] =
-          filter->symbols()->Intern(node->ntest());
+      info.sym = filter->symbols()->Intern(node->ntest());
     }
   }
   XPS_RETURN_IF_ERROR(filter->Reset());
@@ -98,7 +99,7 @@ void FrontierFilter::InsertRecord(const QueryNode* node, size_t level,
     existing->matched = existing->matched || matched;
     return;
   }
-  frontier_.push_back(Record{node, level, matched});
+  frontier_.push_back(Record{node, level, matched, false});
 }
 
 void FrontierFilter::UpdateGauges() {
@@ -125,7 +126,10 @@ void FrontierFilter::Snapshot(const Event& event) {
 
 Status FrontierFilter::OnSymbolizedEvent(const Event& event,
                                          Symbol name_sym) {
-  if (failed_) return Status::Internal("filter already failed");
+  // startDocument passes: it resets the filter, a failure included.
+  if (failed_ && event.type != EventType::kStartDocument) {
+    return Status::Internal("filter already failed");
+  }
   if (skip_level_ != 0 && SkipEvent(event.type)) return Status::OK();
   Status status;
   switch (event.type) {
@@ -152,20 +156,12 @@ Status FrontierFilter::OnSymbolizedEvent(const Event& event,
     failed_ = true;
     return status;
   }
-  // Earliest-decision tracking: matched bits only flip at attribute and
-  // endElement handling; endDocument decides whatever is still open.
-  if (decided_at_ == kNoEventOrdinal && !literal_mode_) {
-    if (event.type == EventType::kEndDocument) {
-      decided_at_ = ordinal_;
-    } else if ((event.type == EventType::kAttribute ||
-                event.type == EventType::kEndElement) &&
-               RootVerdictDecided()) {
-      decided_at_ = ordinal_;
-    }
-  }
+  // Earliest-decision tracking: the root record commits at the event
+  // that establishes its last requirement; endDocument decides
+  // whatever is still open (and everything in literal mode).
   if (decided_at_ == kNoEventOrdinal &&
-      event.type == EventType::kEndDocument) {
-    decided_at_ = ordinal_;  // literal mode commits at the end
+      (event.type == EventType::kEndDocument || RootVerdictDecided())) {
+    decided_at_ = ordinal_;
   }
   ++ordinal_;
   UpdateGauges();
@@ -201,20 +197,51 @@ bool FrontierFilter::HasOpenDescendant() const {
   });
 }
 
-bool FrontierFilter::RootVerdictDecided() const {
-  const auto& children = query_->root()->children();
-  if (children.empty()) return false;  // degenerate query, decide at end
-  for (const auto& child : children) {
-    const Record* record = nullptr;
-    for (const Record& r : frontier_) {
-      if (r.node == child.get() && r.level == 1) {
-        record = &r;
-        break;
-      }
-    }
-    if (record == nullptr || !record->matched) return false;
-  }
+bool FrontierFilter::IsSuspendedMatched(const QueryNode* node,
+                                        size_t level) const {
+  return std::find(suspended_matched_.begin(), suspended_matched_.end(),
+                   std::make_pair(node, level)) != suspended_matched_.end();
+}
+
+bool FrontierFilter::SuspendMatched(const QueryNode* node, size_t level) {
+  if (IsSuspendedMatched(node, level)) return false;
+  suspended_matched_.emplace_back(node, level);
   return true;
+}
+
+bool FrontierFilter::Established(const QueryNode* node, size_t level) {
+  const Record* r = FindRecord(node, level);
+  if (r != nullptr) return r->matched || r->committed;
+  return IsSuspendedMatched(node, level);
+}
+
+void FrontierFilter::PropagateCommit(const QueryNode* node, size_t level) {
+  // Once the root has committed, no further commitment can matter.
+  if (literal_mode_ || RootVerdictDecided()) return;
+  const QueryNode* parent = node->parent();
+  // The children of `parent` at `level` were expanded by one candidate,
+  // the open element at level - 1; its close aggregates exactly them.
+  for (const auto& sibling : parent->children()) {
+    if (!Established(sibling.get(), level)) return;
+  }
+  if (parent->is_root()) {
+    frontier_[0].committed = true;  // the root record, inserted first
+  } else if (parent->axis() == Axis::kDescendant) {
+    // The contexts the aggregation at the candidate's close will set:
+    // records anchored strictly above it. Recursion adds no records, so
+    // the reference stays valid.
+    for (Record& r : frontier_) {
+      if (r.node != parent || r.level >= level || r.matched || r.committed) {
+        continue;
+      }
+      r.committed = true;
+      PropagateCommit(parent, r.level);
+    }
+  } else {
+    // A child-axis parent is suspended while its candidate is open; the
+    // aggregation reinserts it matched from suspended_matched_.
+    if (SuspendMatched(parent, level - 1)) PropagateCommit(parent, level - 1);
+  }
 }
 
 Status FrontierFilter::HandleStartDocument() {
@@ -264,13 +291,7 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
       // any already-established match across the reinsertion.
       if (record.node->axis() == Axis::kChild) {
         to_delete.emplace_back(record.node, record.level);
-        if (record.matched) {
-          const auto key = std::make_pair(record.node, record.level);
-          if (std::find(suspended_matched_.begin(), suspended_matched_.end(),
-                        key) == suspended_matched_.end()) {
-            suspended_matched_.push_back(key);
-          }
-        }
+        if (record.matched) SuspendMatched(record.node, record.level);
       }
       for (const auto& child : record.node->children()) {
         InsertRecord(child.get(), current_level_ + 1, false);
@@ -284,6 +305,18 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
                          return r.node == node && r.level == level;
                        }),
         frontier_.end());
+  }
+  // Earliest commitment (implementation note 5): a leaf whose truth set
+  // is universal is decided by its element's start. Its capture stays
+  // open, so buffering and the matched bit set at its close are
+  // unchanged. This element's captures are the innermost ones.
+  for (auto it = captures_.rbegin();
+       it != captures_.rend() && it->elem_level == current_level_; ++it) {
+    if (!nodes_[it->node->id()].universal_leaf) continue;
+    Record* r = FindRecord(it->node, it->record_level);
+    if (r->matched || r->committed) continue;
+    r->committed = true;
+    PropagateCommit(it->node, it->record_level);
   }
 
   // Output collection: is this element the next candidate on the
@@ -330,6 +363,7 @@ Status FrontierFilter::HandleAttribute(Symbol name_sym,
     if (!r.node->IsLeaf()) continue;
     if (truths_.Get(r.node).Contains(std::string(value))) {
       r.matched = true;
+      PropagateCommit(r.node, r.level);  // adds no records: r stays valid
     }
   }
   return Status::OK();
@@ -358,11 +392,10 @@ Status FrontierFilter::HandleEndElement() {
     Capture capture = captures_.back();
     captures_.pop_back();
     // Universal truth sets (predicate-free leaves, the dissemination
-    // common case) accept any value: skip materializing the captured
-    // string — the per-event allocation the profile flagged.
-    const TruthSet& truths = truths_.Get(capture.node);
-    if (truths.is_universal() ||
-        truths.Contains(buffer_.substr(capture.start))) {
+    // common case) accept any value: skip the truth-set lookup and the
+    // captured string — the per-event allocation the profile flagged.
+    if (nodes_[capture.node->id()].universal_leaf ||
+        truths_.Get(capture.node).Contains(buffer_.substr(capture.start))) {
       // A real match for this leaf, in the context of exactly the record
       // the capture was opened for. (Every live record that had this
       // element as a candidate opened its own capture, so per-record
@@ -370,7 +403,10 @@ Status FrontierFilter::HandleEndElement() {
       // contaminate records created during this very element, whose
       // candidates must be strict descendants.)
       Record* r = FindRecord(capture.node, capture.record_level);
-      if (r != nullptr) r->matched = true;
+      if (r != nullptr && !r->matched) {
+        r->matched = true;
+        if (!r->committed) PropagateCommit(capture.node, capture.record_level);
+      }
     }
   }
 
@@ -523,12 +559,6 @@ std::string FrontierFilter::SerializeState() const {
   out += "|B" + buffer_;
   out += done_ ? (matched_ ? "|M1" : "|M0") : "|-";
   return out;
-}
-
-size_t FrontierFilter::BitsPerTuple(size_t doc_depth,
-                                    size_t text_width) const {
-  return BitWidth(query_->size()) + BitWidth(doc_depth) +
-         BitWidth(text_width) + 1;  // +1 for the matched flag
 }
 
 }  // namespace xpstream

@@ -19,7 +19,7 @@
 /// buffered characters (Thm 8.8), and FS(Q) tuples for path
 /// consistency-free closure-free queries.
 ///
-/// Four implementation notes. The first three are deliberate
+/// Five implementation notes. The first three are deliberate
 /// deviations from the literal pseudo-code, each a correctness fix
 /// validated by differential testing against the ground truth
 /// evaluator (see DESIGN.md §5):
@@ -41,6 +41,23 @@
 /// invisible — verdicts, DecidedAt(), every gauge and SerializeState()
 /// at every event equal the full walk's — and it is off while tracing
 /// or collecting outputs, which observe every event.
+///
+/// The fifth is earliest commitment. A context's matched bit is set
+/// only by the endElement aggregation, so a context whose requirements
+/// are all met would otherwise wait for its ancestors to close. Each
+/// record therefore carries a second bit, `committed`: whenever a
+/// record becomes established (matched, committed, or a suspended
+/// child-axis record known to match), the check whether all its
+/// siblings are established runs upward toward the root, committing
+/// every parent context the aggregation would later set. A leaf whose
+/// truth set is universal is established at its element's start. The
+/// verdict is decided once the root record is committed. Because
+/// matched bits are OR-accumulated, each committed context is matched
+/// by the time its aggregation runs, so the lookahead moves only
+/// DecidedAt(): it never touches matched, which candidate selection,
+/// skipping, the aggregation and every gauge read. It adds one bit per
+/// tuple and no tuples, so the Thm 8.8 bound stands. Literal
+/// pseudo-code mode does not propagate.
 ///
 /// Supported fragment (paper §8): univariate conjunctive
 /// leaf-only-value-restricted Forward XPath; checked at construction.
@@ -96,10 +113,6 @@ class FrontierFilter : public StreamFilter {
   /// in DESIGN.md §5 fixes. Not for production use.
   void SetLiteralPseudocodeMode(bool literal) { literal_mode_ = literal; }
 
-  /// Bits per frontier tuple for this query/document combination, the
-  /// log|Q| + log d + log w term of Thm 8.8.
-  size_t BitsPerTuple(size_t doc_depth, size_t text_width) const;
-
  private:
   explicit FrontierFilter(const Query* query) : query_(query) {}
 
@@ -107,6 +120,10 @@ class FrontierFilter : public StreamFilter {
     const QueryNode* node;
     size_t level;   ///< level at which candidates are expected (child axis)
     bool matched;
+    /// Earliest-commitment lookahead (implementation note 5): this
+    /// context's aggregation will set `matched`. Candidate selection,
+    /// skipping and the aggregation never read it.
+    bool committed;
   };
 
   /// An open string-value capture of one candidate element for one leaf
@@ -126,7 +143,8 @@ class FrontierFilter : public StreamFilter {
   /// NTEST(u) as an integer compare: `name_sym` against the node's
   /// pre-resolved symbol (wildcards pass everything).
   bool NamePasses(const QueryNode* node, Symbol name_sym) const {
-    return node_wild_[node->id()] != 0 || node_sym_[node->id()] == name_sym;
+    const NodeInfo& info = nodes_[node->id()];
+    return info.wild || info.sym == name_sym;
   }
 
   Status HandleStartDocument();
@@ -144,15 +162,34 @@ class FrontierFilter : public StreamFilter {
   /// Output-collection bookkeeping at element close.
   void CloseOutputScopes();
 
-  /// True when the root verdict is already provably true: every child of
-  /// the query root has a live level-1 record with matched set. Matched
-  /// bits are OR-accumulated (and preserved across candidate-expansion
-  /// suspension), so once this holds the endDocument aggregation must
-  /// report a match — the frontier engine's commitment point. Polled
-  /// only at events that can flip matched bits (attribute / endElement)
-  /// and never in literal pseudo-code mode, whose assignment semantics
-  /// can erase matches.
-  bool RootVerdictDecided() const;
+  /// True when the root verdict is already provably true: the root
+  /// record (frontier_[0] once startDocument has run) is committed, so
+  /// the endDocument aggregation must report a match — the frontier
+  /// engine's commitment point. Polled after every event. Never true in
+  /// literal pseudo-code mode, which does not propagate.
+  bool RootVerdictDecided() const {
+    return !frontier_.empty() && frontier_[0].committed;
+  }
+
+  /// Whether the suspended child-axis record (node, level) is recorded
+  /// as matched in suspended_matched_.
+  bool IsSuspendedMatched(const QueryNode* node, size_t level) const;
+
+  /// Records the suspended child-axis record (node, level) as matched;
+  /// returns false when it already was.
+  bool SuspendMatched(const QueryNode* node, size_t level);
+
+  /// True when the context (node, level) is known to match: its live
+  /// record is matched or committed, or it is a child-axis record
+  /// suspended during its candidate's expansion and recorded in
+  /// suspended_matched_.
+  bool Established(const QueryNode* node, size_t level);
+
+  /// Called after (node, level) becomes established. When every
+  /// sibling of `node` is established at `level`, commits the parent
+  /// contexts the aggregation at the candidate's close will set, and
+  /// repeats from each of them toward the root (implementation note 5).
+  void PropagateCommit(const QueryNode* node, size_t level);
 
   /// Consumes one event inside an irrelevant subtree: only the level
   /// and the ordinal move, and the skip ends when the subtree's root
@@ -170,10 +207,16 @@ class FrontierFilter : public StreamFilter {
 
   const Query* query_;
   TruthSetMap truths_;
-  /// Per query node (indexed by id): the node test's interned symbol
-  /// and its wildcard flag, resolved once at creation.
-  std::vector<Symbol> node_sym_;
-  std::vector<uint8_t> node_wild_;
+  /// What the event path reads of one query node, resolved once at
+  /// creation.
+  struct NodeInfo {
+    Symbol sym = kNoSymbol;  ///< the node test's interned symbol
+    bool wild = false;       ///< wildcard node test
+    /// A leaf whose truth set is universal: decided by its element's
+    /// start.
+    bool universal_leaf = false;
+  };
+  std::vector<NodeInfo> nodes_;  ///< indexed by query node id
 
   std::vector<Record> frontier_;
   std::vector<Capture> captures_;
@@ -209,10 +252,11 @@ class FrontierFilter : public StreamFilter {
   std::vector<const QueryNode*> chain_;  ///< root successors to OUT(Q)
   std::set<const QueryNode*> chain_set_;
   /// Child-axis records suspended during candidate expansion whose
-  /// matched bit must be restored (OR-merged) at reinsertion. Entries
-  /// are only stored for already-matched records, so this is a flat
-  /// set of (query node, level) keys — linear-scanned, since at most
-  /// one entry per open ancestor level can be live.
+  /// matched bit must be set (OR-merged) at reinsertion. Entries are
+  /// only stored for records already matched or committed by the
+  /// lookahead, so this is a flat set of (query node, level) keys —
+  /// linear-scanned, since at most one entry per open ancestor level
+  /// can be live.
   std::vector<std::pair<const QueryNode*, size_t>> suspended_matched_;
   std::vector<OutputScope> scopes_;      ///< innermost last
   std::vector<std::string> root_pending_;

@@ -102,11 +102,7 @@ int LazyDfaFilter::Transition(int state, int symbol) {
 Status LazyDfaFilter::OnSymbolizedEvent(const Event& event, Symbol name_sym) {
   switch (event.type) {
     case EventType::kStartDocument: {
-      stack_.clear();
-      matched_ = false;
-      done_ = false;
-      ordinal_ = 0;
-      decided_at_ = kNoEventOrdinal;
+      XPS_RETURN_IF_ERROR(Reset());
       stack_.push_back(InternState(1));
       break;
     }

@@ -24,29 +24,17 @@ Status FilterBankMatcher::Unsubscribe(size_t slot) {
   return Status::OK();
 }
 
-void FilterBankMatcher::ResetDecisions() {
-  decided_.assign(filters_.size(), kLive);
-  fed_.clear();
-  for (size_t slot = 0; slot < filters_.size(); ++slot) {
-    if (filters_[slot] != nullptr) fed_.push_back(slot);
-  }
-}
-
-Status FilterBankMatcher::Reset() {
-  for (auto& filter : filters_) {
-    if (filter == nullptr) continue;
-    XPS_RETURN_IF_ERROR(filter->Reset());
-  }
-  ResetDecisions();
-  return Status::OK();
-}
-
 Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
                                             Symbol name_sym) {
   if (event.type == EventType::kStartDocument) {
-    // Member filters reset themselves on startDocument; the decision
-    // bookkeeping must match (direct callers may skip Reset()).
-    ResetDecisions();
+    // Member filters reset themselves on startDocument; so does the
+    // decision bookkeeping. Tombstoned slots are not fed (they can
+    // never report).
+    decided_.assign(filters_.size(), kLive);
+    fed_.clear();
+    for (size_t slot = 0; slot < filters_.size(); ++slot) {
+      if (filters_[slot] != nullptr) fed_.push_back(slot);
+    }
   }
   const bool at_end = event.type == EventType::kEndDocument;
   // One pass: feed each slot, then poll it for a fresh decision, so

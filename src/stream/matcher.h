@@ -79,9 +79,6 @@ class Matcher {
   /// of Verdicts() and the next dense Subscribe slot).
   virtual size_t NumSubscriptions() const = 0;
 
-  /// Prepares for a new document; verdicts and per-document stats reset.
-  virtual Status Reset() = 0;
-
   /// The per-slot commitment cut behind EngineOptions::short_circuit:
   /// once a slot's verdict is committed mid-document (decided means
   /// matched), the matcher may stop feeding it the rest of that
@@ -95,7 +92,8 @@ class Matcher {
   /// the event's name resolved against symbols() (kNoSymbol for
   /// nameless events), once per event by the caller: every matcher of
   /// one Engine shares that table, so the one symbol serves every
-  /// subscription of every member.
+  /// subscription of every member. startDocument prepares a new
+  /// document: verdicts and per-document stats reset.
   virtual Status OnSymbolizedEvent(const Event& event, Symbol name_sym) = 0;
 
   /// The SymbolTable this matcher's subscriptions resolve against: the
@@ -146,7 +144,6 @@ class FilterBankMatcher : public Matcher {
   Status Subscribe(size_t slot, const Query* query) override;
   Status Unsubscribe(size_t slot) override;
   size_t NumSubscriptions() const override { return filters_.size(); }
-  Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
   Result<std::vector<bool>> Verdicts() const override;
   const MemoryStats& stats() const override;
@@ -158,10 +155,6 @@ class FilterBankMatcher : public Matcher {
     kCommitted = 1,  ///< decided mid-document: a match (the cut point)
     kSettled = 2,    ///< decided at endDocument
   };
-
-  /// Clears per-document decision bookkeeping. Tombstoned slots are
-  /// not fed (they can never report).
-  void ResetDecisions();
 
   std::string name_;
   FilterFactory factory_;

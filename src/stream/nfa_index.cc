@@ -303,7 +303,6 @@ class NfaIndexMatcher : public Matcher {
   }
 
   size_t NumSubscriptions() const override { return subscriptions_; }
-  Status Reset() override { return run_.Reset(); }
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override {
     return run_.OnSymbolizedEvent(event, name_sym);
   }

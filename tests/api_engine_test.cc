@@ -301,6 +301,27 @@ TEST(EngineTest, FilterEventsDiscardsPartialDocumentOnFailure) {
   EXPECT_TRUE((*verdicts)[0]);
 }
 
+TEST(EngineTest, EveryEngineRecoversFromAMalformedEventStream) {
+  // The event API skips the parser's checks, so the malformed document
+  // reaches the matchers. The tree-walking engines check element
+  // balance and reject it; every engine must then start the next
+  // document clean.
+  const EventStream unclosed = {Event::StartDocument(),
+                                Event::StartElement("a"),
+                                Event::EndDocument()};
+  for (const std::string& name : Engine::AvailableEngines()) {
+    auto engine = MustCreate(name);
+    ASSERT_TRUE(engine->Subscribe("q", "/a").ok()) << name;
+    auto rejected = engine->FilterEvents(unclosed);
+    if (name == "frontier" || name == "naive") {
+      EXPECT_FALSE(rejected.ok()) << name;
+    }
+    auto verdicts = engine->FilterXml("<a/>");
+    ASSERT_TRUE(verdicts.ok()) << name << ": " << verdicts.status().ToString();
+    EXPECT_TRUE((*verdicts)[0]) << name;
+  }
+}
+
 TEST(EngineTest, ZeroSubscriptionsYieldEmptyVerdicts) {
   for (const std::string& name : Engine::AvailableEngines()) {
     auto engine = MustCreate(name);

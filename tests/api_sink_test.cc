@@ -5,7 +5,8 @@
 // The contracts under test:
 //  * decided positions are an engine-specific measurable, exact and
 //    deterministic (automata commit on accepting-state entry, frontier
-//    at endElement aggregation, naive only at endDocument);
+//    once the query root's last requirement is met, naive only at
+//    endDocument);
 //  * short_circuit changes the work, never the results — and malformed
 //    document tails still fail even though no engine sees them.
 
@@ -75,9 +76,11 @@ EventCorpus Corpus(size_t docs, uint64_t seed) {
 }
 
 // Engine-specific commitment points on the fixture, exact: the NFA
-// decides //b on ⟨b⟩ (ordinal 2), the frontier engine one event later
-// at ⟨/b⟩ (its leaf captures resolve at endElement), and the naive
-// engine only at endDocument (ordinal 8) — the Θ(|D|)-buffering
+// decides //b on ⟨b⟩ (ordinal 2), and so does the frontier engine (a
+// predicate-free leaf is decided by its element's start, and the
+// commitment propagates to the query root at once); both decide /a/c
+// on ⟨c⟩ (ordinal 4), without waiting for ⟨/a⟩. The naive engine
+// decides only at endDocument (ordinal 8) — the Θ(|D|)-buffering
 // extreme the instrument is built to expose.
 TEST(ApiSinkTest, DecidedPositionsAreEngineCommitmentPoints) {
   const EventStream doc = FixtureDocument();
@@ -89,9 +92,9 @@ TEST(ApiSinkTest, DecidedPositionsAreEngineCommitmentPoints) {
   };
   const Case cases[] = {
       {"nfa", "//b", 2},       {"lazy_dfa", "//b", 2},
-      {"nfa_index", "//b", 2}, {"frontier", "//b", 3},
+      {"nfa_index", "//b", 2}, {"frontier", "//b", 2},
       {"naive", "//b", 8},     {"nfa", "/a/c", 4},
-      {"frontier", "/a/c", 7},  // child-axis top: aggregated at </a>
+      {"frontier", "/a/c", 4},
       {"nfa", "//zzz", 8},      // non-match decides at endDocument
       {"frontier", "//zzz", 8},
   };
@@ -109,12 +112,15 @@ TEST(ApiSinkTest, DecidedPositionsAreEngineCommitmentPoints) {
 
 // The three automaton engines share acceptance semantics, so their
 // earliest-decision positions must agree exactly on shared fixtures.
+// On linear queries the frontier engine commits at the same events:
+// the leaf step is decided by its element's start, and every step
+// above it by then has its one requirement met.
 TEST(ApiSinkTest, AutomatonEnginesAgreeOnEarliestPositions) {
   const std::vector<std::string> queries = LinearQueries(17, 20260401);
   const EventCorpus corpus = Corpus(10, 11);
 
   std::vector<std::vector<size_t>> reference;  // per doc, per slot
-  for (const char* name : {"nfa", "lazy_dfa", "nfa_index"}) {
+  for (const char* name : {"nfa", "lazy_dfa", "nfa_index", "frontier"}) {
     auto engine = Engine::Create(name);
     ASSERT_TRUE(engine.ok()) << name;
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -295,7 +301,7 @@ TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
     EXPECT_EQ((*engine)->documents_seen(), 0u);
   }
   {  // Mixed auto: //b[c = "x"] runs on frontier and is cut once it
-     // commits at </b>; //zzz runs live on nfa_index. The malformed
+     // commits at </c>; //zzz runs live on nfa_index. The malformed
      // tails below reach only the engine that would not reject them,
      // so the facade's stream-shape check must.
     EngineOptions auto_options = options;
@@ -314,7 +320,8 @@ TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
     auto zzz_plan = (*engine)->PlanOf("zzz");
     ASSERT_TRUE(zzz_plan.ok());
     EXPECT_EQ(zzz_plan->engine, "nfa_index");
-    // <a><b><c>x</c></b>: the frontier slot commits at </b> (ordinal 6).
+    // <a><b><c>x</c></b>: the frontier slot commits at </c> (ordinal
+    // 5), where c's value is known and b's one requirement is met.
     const EventStream prologue = {
         Event::StartDocument(), Event::StartElement("a"),
         Event::StartElement("b"), Event::StartElement("c"),
@@ -335,7 +342,7 @@ TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
       EXPECT_EQ((*engine)->documents_seen(), 0u);
       // The frontier slot had committed before the tail went wrong.
       ASSERT_EQ(sink.matches.size(), 1u);
-      EXPECT_EQ(std::get<2>(sink.matches[0]), 6u);
+      EXPECT_EQ(std::get<2>(sink.matches[0]), 5u);
     }
     // The engine stays usable for the next (well-formed) document.
     EventStream good = prologue;
