@@ -419,8 +419,9 @@ class Engine : public EventSink {
 
   /// Stats of the current / most recent document (summed over the
   /// algorithms in use — under "auto", every engine some slot was
-  /// routed to — and for a filter-bank engine over its
-  /// per-subscription filters), plus the
+  /// routed to — for a filter-bank engine over its per-subscription
+  /// filters, and for "frontier" over its walks, one per query shape,
+  /// each counted once however many slots share it), plus the
   /// footprint of the engine's shared name SymbolTable in
   /// symbol_bytes. The engine owns one table for its whole pipeline:
   /// the parser interns element/attribute names into it as it
@@ -517,10 +518,11 @@ class Engine : public EventSink {
   /// per-slot results of the most recent document, if stale.
   void MaterializeExpansion() const;
 
-  /// Mirrors one event's effect on the open-element depth; with
-  /// short_circuit on, rejects an unbalanced endElement and an
-  /// endDocument with open elements (engines past their commitment
-  /// no longer see the events that would have failed them).
+  /// Mirrors one event's effect on the open-element depth and rejects
+  /// an unbalanced endElement and an endDocument with open elements,
+  /// with or without short_circuit: not every engine tracks balance,
+  /// and engines past their commitment no longer see the events that
+  /// would have failed them.
   Status CheckShape(const Event& event);
 
   /// Document-completion bookkeeping shared by the matched and the

@@ -1,6 +1,7 @@
 #include "analysis/truth_set.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/string_util.h"
 #include "xpath/functions.h"
@@ -92,6 +93,104 @@ bool TruthSet::Contains(const std::string& value) const {
   if (is_universal()) return true;
   return EvalExprWithBinding(root_, variable_, Value::String(value))
       .EffectiveBooleanValue();
+}
+
+double CapturedValue::number() {
+  if (!parsed_) {
+    auto parsed = ParseXPathNumber(text_);
+    number_ = parsed.has_value() ? *parsed
+                                 : std::numeric_limits<double>::quiet_NaN();
+    parsed_ = true;
+  }
+  return number_;
+}
+
+namespace {
+
+/// The operator seen from the other side: `c op v` is `v Mirror(op) c`.
+CompOp Mirror(CompOp op) {
+  switch (op) {
+    case CompOp::kLt:
+      return CompOp::kGt;
+    case CompOp::kLe:
+      return CompOp::kGe;
+    case CompOp::kGt:
+      return CompOp::kLt;
+    case CompOp::kGe:
+      return CompOp::kLe;
+    default:
+      return op;  // = and != are symmetric
+  }
+}
+
+}  // namespace
+
+ValueTest ValueTest::Compile(const TruthSet& truth) {
+  ValueTest test;
+  if (truth.is_universal()) return test;
+  test.kind_ = Kind::kGeneric;
+  test.generic_ = truth;
+  const ExprNode* root = truth.predicate_root();
+  const ExprNode* var = truth.variable();
+  const auto& args = root->args();
+  if (root->kind() == ExprKind::kCompare) {
+    const ExprNode* constant = args[1].get();
+    CompOp op = root->comp_op;
+    if (args[1].get() == var) {
+      constant = args[0].get();
+      op = Mirror(op);
+    } else if (args[0].get() != var) {
+      return test;  // the variable sits inside an expression
+    }
+    test.op_ = op;
+    const bool ordering = op != CompOp::kEq && op != CompOp::kNe;
+    if (constant->kind() == ExprKind::kConstNumber) {
+      test.kind_ = Kind::kNumber;
+      test.number_ = constant->number_value;
+    } else if (constant->kind() == ExprKind::kNeg &&
+               constant->args()[0]->kind() == ExprKind::kConstNumber) {
+      test.kind_ = Kind::kNumber;
+      test.number_ = -constant->args()[0]->number_value;
+    } else if (constant->kind() == ExprKind::kConstString && ordering) {
+      // Ordering is numeric: the constant converts once, here.
+      test.kind_ = Kind::kNumber;
+      test.number_ = Value::String(constant->string_value).ToNumber();
+    } else if (constant->kind() == ExprKind::kConstString) {
+      test.kind_ = Kind::kString;
+      test.string_ = constant->string_value;
+    }
+    return test;
+  }
+  if (root->kind() == ExprKind::kFunc && root->func != nullptr &&
+      args.size() == 2 && args[0].get() == var &&
+      args[1]->kind() == ExprKind::kConstString) {
+    if (root->func->name == "contains") {
+      test.kind_ = Kind::kContains;
+      test.string_ = args[1]->string_value;
+    } else if (root->func->name == "starts-with") {
+      test.kind_ = Kind::kStartsWith;
+      test.string_ = args[1]->string_value;
+    }
+  }
+  return test;
+}
+
+bool ValueTest::Accepts(CapturedValue* value) const {
+  switch (kind_) {
+    case Kind::kUniversal:
+      return true;
+    case Kind::kNumber:
+      return CompareNumbers(value->number(), op_, number_);
+    case Kind::kString:
+      return (value->text() == string_) == (op_ == CompOp::kEq);
+    case Kind::kContains:
+      return xpstream::Contains(value->text(), string_);
+    case Kind::kStartsWith:
+      return StartsWith(value->text(), string_);
+    case Kind::kGeneric:
+      return generic_.Contains(std::string(value->text()));
+  }
+  return false;
 }
 
 namespace {

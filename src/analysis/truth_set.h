@@ -21,6 +21,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -57,9 +58,70 @@ class TruthSet {
 
   const ExprNode* predicate_root() const { return root_; }
 
+  /// The kPathRef leaf the value is substituted for (nullptr when
+  /// universal).
+  const ExprNode* variable() const { return variable_; }
+
  private:
   const ExprNode* root_ = nullptr;      // nullptr = universal
   const ExprNode* variable_ = nullptr;
+};
+
+/// A string value under test by ValueTest: the text plus its XPath
+/// number, parsed on first use and then shared by every test applied
+/// to the same value.
+class CapturedValue {
+ public:
+  explicit CapturedValue(std::string_view text) : text_(text) {}
+
+  std::string_view text() const { return text_; }
+
+  /// number(text): NaN when the text is not an XPath number.
+  double number();
+
+ private:
+  std::string_view text_;
+  bool parsed_ = false;
+  double number_ = 0;
+};
+
+/// TRUTH(u) compiled at subscription time into a flat test on the
+/// captured value. The common atomic predicates — the variable compared
+/// with a constant, contains(var, "s") and starts-with(var, "s") —
+/// become one compare; every other predicate stays generic and
+/// substitutes into the expression tree (TruthSet::Contains). Accepts
+/// equals TruthSet::Contains on every value, with xpath/value's
+/// CompareAtomic semantics: ordering operators compare numbers, string
+/// (in)equality compares the raw text, and NaN fails every operator.
+class ValueTest {
+ public:
+  /// Compiles `truth`, which must outlive the test when generic.
+  static ValueTest Compile(const TruthSet& truth);
+
+  bool is_universal() const { return kind_ == Kind::kUniversal; }
+
+  /// True when the predicate is not one of the compiled forms and
+  /// Accepts substitutes into the expression tree.
+  bool is_generic() const { return kind_ == Kind::kGeneric; }
+
+  /// Membership of `value` in the compiled truth set.
+  bool Accepts(CapturedValue* value) const;
+
+ private:
+  enum class Kind : uint8_t {
+    kUniversal,   ///< every value
+    kNumber,      ///< number(value) op number_
+    kString,      ///< value op string_, op is = or !=
+    kContains,    ///< contains(value, string_)
+    kStartsWith,  ///< starts-with(value, string_)
+    kGeneric,     ///< generic_.Contains(value)
+  };
+
+  Kind kind_ = Kind::kUniversal;
+  CompOp op_ = CompOp::kEq;
+  double number_ = 0;
+  std::string string_;
+  TruthSet generic_;
 };
 
 /// Evaluates an expression tree in which the kPathRef leaf `variable`

@@ -556,23 +556,23 @@ const std::vector<size_t>& Engine::last_decided_at() const {
 }
 
 Status Engine::CheckShape(const Event& event) {
-  // Without the cut the engines validate stream shape themselves. Under
-  // it, the engines still fed may not check what a cut one would have,
-  // so the facade rejects a malformed tail itself. (Byte input
-  // additionally passes the full XmlParser validation.)
+  // The facade checks element balance itself, with or without the cut:
+  // not every engine checks it, and under the cut the engines still fed
+  // may not check what a cut one would have. So every engine rejects
+  // the same malformed event stream. (Byte input additionally passes
+  // the full XmlParser validation.)
   switch (event.type) {
     case EventType::kStartElement:
       ++element_depth_;
       break;
     case EventType::kEndElement:
-      if (element_depth_ > 0) {
-        --element_depth_;
-      } else if (options_.short_circuit) {
+      if (element_depth_ == 0) {
         return Status::NotWellFormed("unbalanced endElement");
       }
+      --element_depth_;
       break;
     case EventType::kEndDocument:
-      if (options_.short_circuit && element_depth_ != 0) {
+      if (element_depth_ != 0) {
         return Status::NotWellFormed("endDocument with open elements");
       }
       break;

@@ -1,6 +1,5 @@
 #include "stream/engine_registry.h"
 
-#include "stream/frontier_filter.h"
 #include "stream/lazy_dfa_filter.h"
 #include "stream/naive_filter.h"
 #include "stream/nfa_filter.h"
@@ -29,7 +28,7 @@ std::unique_ptr<Matcher> NewFilterBank(const std::string& name,
 
 Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
                                                SymbolTable* symbols) {
-  if (name == "frontier") return NewFilterBank<FrontierFilter>(name, symbols);
+  if (name == "frontier") return NewFrontierMatcher(symbols);
   if (name == "lazy_dfa") return NewFilterBank<LazyDfaFilter>(name, symbols);
   if (name == "naive") return NewFilterBank<NaiveTreeFilter>(name, symbols);
   if (name == "nfa") return NewFilterBank<NfaFilter>(name, symbols);

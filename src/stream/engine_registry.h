@@ -3,9 +3,10 @@
 
 /// \file
 /// The closed table of built-in engines behind the public Engine
-/// facade: "naive", "nfa", "lazy_dfa" and "frontier" are banks of one
-/// StreamFilter per subscription; "nfa_index" runs every subscription
-/// in one shared automaton. The facade resolves EngineOptions::engine
+/// facade: "naive", "nfa" and "lazy_dfa" are banks of one StreamFilter
+/// per subscription; "frontier" runs one frontier walk per query shape,
+/// shared by up to 64 subscriptions; "nfa_index" runs every
+/// subscription in one shared automaton. The facade resolves EngineOptions::engine
 /// (and each engine "auto" routes to) through CreateMatcher.
 
 #include <memory>
@@ -29,6 +30,10 @@ std::vector<std::string> EngineNames();
 /// The nfa_index engine's matcher, defined next to the index it drives
 /// (stream/nfa_index.cc).
 std::unique_ptr<Matcher> NewNfaIndexMatcher(SymbolTable* symbols);
+
+/// The frontier engine's matcher, defined next to the walk it drives
+/// (stream/frontier_filter.cc).
+std::unique_ptr<Matcher> NewFrontierMatcher(SymbolTable* symbols);
 
 }  // namespace xpstream
 

@@ -1,38 +1,26 @@
 #include "stream/frontier_filter.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "analysis/fragment.h"
 #include "common/string_util.h"
+#include "stream/engine_registry.h"
 
 namespace xpstream {
 
 Result<std::unique_ptr<FrontierFilter>> FrontierFilter::Create(
     const Query* query, SymbolTable* symbols) {
-  std::string reason;
-  if (!IsConjunctive(*query, &reason) || !IsUnivariate(*query, &reason)) {
-    return Status::Unsupported("FrontierFilter requires a univariate "
-                               "conjunctive query: " +
-                               reason);
-  }
-  if (!IsLeafOnlyValueRestricted(*query, &reason)) {
-    return Status::Unsupported(
-        "FrontierFilter requires a leaf-only-value-restricted query: " +
-        reason);
-  }
-  auto truths = TruthSetMap::Build(*query);
-  if (!truths.ok()) return truths.status();
   std::unique_ptr<FrontierFilter> filter(new FrontierFilter(query));
-  filter->truths_ = std::move(truths).value();
+  filter->nodes_.assign(query->size(), NodeInfo{});
+  filter->tests_.assign(query->size(), {});
+  XPS_RETURN_IF_ERROR(filter->CompileMember(*query));
   filter->BindSymbols(symbols);
   // Subscription-time resolution: one symbol per query node, so
   // candidate selection on the event path never compares strings.
-  filter->nodes_.assign(query->size(), NodeInfo{});
   for (const QueryNode* node : query->AllNodes()) {
     if (node->is_root()) continue;
     NodeInfo& info = filter->nodes_[node->id()];
-    info.universal_leaf =
-        node->IsLeaf() && filter->truths_.Get(node).is_universal();
     if (node->is_wildcard()) {
       info.wild = true;
     } else {
@@ -43,28 +31,114 @@ Result<std::unique_ptr<FrontierFilter>> FrontierFilter::Create(
   return filter;
 }
 
+std::string FrontierFilter::ShapeKey(const Query& query) {
+  // Names never contain '/', '@', '(' or ')', so the key is unambiguous.
+  std::string key;
+  auto rec = [&](auto&& self, const QueryNode* node) -> void {
+    if (node->is_root()) {
+      key += '$';
+    } else {
+      switch (node->axis()) {
+        case Axis::kChild:
+          key += '/';
+          break;
+        case Axis::kDescendant:
+          key += "//";
+          break;
+        case Axis::kAttribute:
+          key += '@';
+          break;
+      }
+      key += node->ntest();
+    }
+    if (node->children().empty()) return;
+    key += '(';
+    for (const auto& child : node->children()) self(self, child.get());
+    key += ')';
+  };
+  rec(rec, query.root());
+  return key;
+}
+
+Status FrontierFilter::CompileMember(const Query& query) {
+  std::string reason;
+  if (!IsConjunctive(query, &reason) || !IsUnivariate(query, &reason)) {
+    return Status::Unsupported("FrontierFilter requires a univariate "
+                               "conjunctive query: " +
+                               reason);
+  }
+  if (!IsLeafOnlyValueRestricted(query, &reason)) {
+    return Status::Unsupported(
+        "FrontierFilter requires a leaf-only-value-restricted query: " +
+        reason);
+  }
+  auto truths = TruthSetMap::Build(query);
+  if (!truths.ok()) return truths.status();
+  // Equal shape keys make the pre-order node ids line up.
+  const MemberMask bit = MemberMask{1} << num_members();
+  for (const QueryNode* node : query.AllNodes()) {
+    ValueTest test = ValueTest::Compile(truths->Get(node));
+    if (!node->is_root() && node->IsLeaf() && test.is_universal()) {
+      nodes_[node->id()].universal_leaf |= bit;
+    }
+    tests_[node->id()].push_back(std::move(test));
+  }
+  all_ |= bit;
+  live_ |= bit;
+  decided_at_.push_back(kNoEventOrdinal);
+  return Status::OK();
+}
+
+Result<size_t> FrontierFilter::AddMember(const Query* query) {
+  if (num_members() == kMaxMembers) {
+    return Status::InvalidArgument("the walk already has kMaxMembers members");
+  }
+  if (collecting_ || literal_mode_) {
+    return Status::Unsupported(
+        "output collection and literal mode run on one-member walks only");
+  }
+  if (ShapeKey(*query) != ShapeKey(*query_)) {
+    return Status::InvalidArgument("member query differs in shape: " +
+                                   query->ToString());
+  }
+  XPS_RETURN_IF_ERROR(CompileMember(*query));
+  return num_members() - 1;
+}
+
+Status FrontierFilter::SetLiteralPseudocodeMode(bool literal) {
+  if (num_members() > 1) {
+    return Status::Unsupported("literal mode runs on one-member walks only");
+  }
+  literal_mode_ = literal;
+  return Status::OK();
+}
+
 Status FrontierFilter::Reset() {
   frontier_.clear();
   captures_.clear();
   buffer_.clear();
   current_level_ = 0;
   done_ = false;
-  matched_ = false;
+  matched_ = 0;
   failed_ = false;
   ordinal_ = 0;
-  decided_at_ = kNoEventOrdinal;
+  decided_at_.assign(num_members(), kNoEventOrdinal);
+  decided_ = 0;
   skip_level_ = 0;
   stats_.Reset();
   trace_.clear();
   scopes_.clear();
   root_pending_.clear();
   outputs_.clear();
-  aggregated_m_.assign(query_->size(), -1);
   suspended_matched_.clear();
   return Status::OK();
 }
 
 Status FrontierFilter::EnableOutputCollection() {
+  if (num_members() > 1) {
+    return Status::Unsupported(
+        "output collection runs on one-member walks only");
+  }
   chain_.clear();
   for (const QueryNode* n = query_->root()->successor(); n != nullptr;
        n = n->successor()) {
@@ -80,6 +154,7 @@ Status FrontierFilter::EnableOutputCollection() {
     return Status::Unsupported("query has no output step");
   }
   chain_set_ = std::set<const QueryNode*>(chain_.begin(), chain_.end());
+  aggregated_m_.assign(query_->size(), -1);
   collecting_ = true;
   return Status::OK();
 }
@@ -93,13 +168,27 @@ FrontierFilter::Record* FrontierFilter::FindRecord(const QueryNode* node,
 }
 
 void FrontierFilter::InsertRecord(const QueryNode* node, size_t level,
-                                  bool matched) {
+                                  MemberMask matched) {
   Record* existing = FindRecord(node, level);
   if (existing != nullptr) {
-    existing->matched = existing->matched || matched;
+    existing->matched |= matched;
     return;
   }
-  frontier_.push_back(Record{node, level, matched, false});
+  frontier_.push_back(Record{node, level, matched, 0});
+}
+
+FrontierFilter::MemberMask FrontierFilter::TestValue(
+    const QueryNode* node, MemberMask open, std::string_view value) const {
+  MemberMask hits = open & nodes_[node->id()].universal_leaf;
+  const std::vector<ValueTest>& tests = tests_[node->id()];
+  CapturedValue captured(value);  // parsed at most once for all members
+  for (MemberMask rest = open & ~hits; rest != 0; rest &= rest - 1) {
+    const int member = __builtin_ctzll(rest);
+    if (tests[static_cast<size_t>(member)].Accepts(&captured)) {
+      hits |= MemberMask{1} << member;
+    }
+  }
+  return hits;
 }
 
 void FrontierFilter::UpdateGauges() {
@@ -110,15 +199,14 @@ void FrontierFilter::UpdateGauges() {
 }
 
 void FrontierFilter::Snapshot(const Event& event) {
-  if (!trace_enabled_) return;
   std::string line = event.ToString() + " level=" +
                      StringPrintf("%zu", current_level_) + " frontier=[";
   for (size_t i = 0; i < frontier_.size(); ++i) {
     const Record& r = frontier_[i];
     if (i > 0) line += " ";
-    line += StringPrintf("(%zu,%s,%d)", r.level,
+    line += StringPrintf("(%zu,%s,%llu)", r.level,
                          r.node->is_root() ? "$" : r.node->ntest().c_str(),
-                         r.matched ? 1 : 0);
+                         static_cast<unsigned long long>(r.matched));
   }
   line += "]";
   trace_.push_back(std::move(line));
@@ -156,16 +244,22 @@ Status FrontierFilter::OnSymbolizedEvent(const Event& event,
     failed_ = true;
     return status;
   }
-  // Earliest-decision tracking: the root record commits at the event
-  // that establishes its last requirement; endDocument decides
+  // Earliest-decision tracking: a member's root record commits at the
+  // event that establishes its last requirement; endDocument decides
   // whatever is still open (and everything in literal mode).
-  if (decided_at_ == kNoEventOrdinal &&
-      (event.type == EventType::kEndDocument || RootVerdictDecided())) {
-    decided_at_ = ordinal_;
+  if (decided_ != all_) {
+    const MemberMask decided = event.type == EventType::kEndDocument
+                                   ? all_
+                                   : committed_members();
+    for (MemberMask fresh = decided & ~decided_; fresh != 0;
+         fresh &= fresh - 1) {
+      decided_at_[static_cast<size_t>(__builtin_ctzll(fresh))] = ordinal_;
+    }
+    decided_ |= decided;
   }
   ++ordinal_;
   UpdateGauges();
-  Snapshot(event);
+  if (trace_enabled_) Snapshot(event);
   return Status::OK();
 }
 
@@ -191,56 +285,73 @@ bool FrontierFilter::SkipEvent(EventType type) {
 }
 
 bool FrontierFilter::HasOpenDescendant() const {
-  return std::any_of(frontier_.begin(), frontier_.end(), [](const Record& r) {
-    return !r.matched && !r.node->is_root() &&
-           r.node->axis() == Axis::kDescendant;
-  });
+  const MemberMask live = live_;
+  return std::any_of(
+      frontier_.begin(), frontier_.end(), [live](const Record& r) {
+        return (r.matched & live) != live && !r.node->is_root() &&
+               r.node->axis() == Axis::kDescendant;
+      });
 }
 
-bool FrontierFilter::IsSuspendedMatched(const QueryNode* node,
-                                        size_t level) const {
-  return std::find(suspended_matched_.begin(), suspended_matched_.end(),
-                   std::make_pair(node, level)) != suspended_matched_.end();
+FrontierFilter::MemberMask FrontierFilter::SuspendedMatched(
+    const QueryNode* node, size_t level) const {
+  for (const Suspended& entry : suspended_matched_) {
+    if (entry.node == node && entry.level == level) return entry.members;
+  }
+  return 0;
 }
 
-bool FrontierFilter::SuspendMatched(const QueryNode* node, size_t level) {
-  if (IsSuspendedMatched(node, level)) return false;
-  suspended_matched_.emplace_back(node, level);
-  return true;
+FrontierFilter::MemberMask FrontierFilter::SuspendMatched(
+    const QueryNode* node, size_t level, MemberMask members) {
+  for (Suspended& entry : suspended_matched_) {
+    if (entry.node != node || entry.level != level) continue;
+    const MemberMask fresh = members & ~entry.members;
+    entry.members |= fresh;
+    return fresh;
+  }
+  if (members != 0) suspended_matched_.push_back({node, level, members});
+  return members;
 }
 
-bool FrontierFilter::Established(const QueryNode* node, size_t level) {
+FrontierFilter::MemberMask FrontierFilter::Established(const QueryNode* node,
+                                                       size_t level) {
   const Record* r = FindRecord(node, level);
-  if (r != nullptr) return r->matched || r->committed;
-  return IsSuspendedMatched(node, level);
+  if (r != nullptr) return r->matched | r->committed;
+  return SuspendedMatched(node, level);
 }
 
-void FrontierFilter::PropagateCommit(const QueryNode* node, size_t level) {
-  // Once the root has committed, no further commitment can matter.
-  if (literal_mode_ || RootVerdictDecided()) return;
+void FrontierFilter::PropagateCommit(const QueryNode* node, size_t level,
+                                     MemberMask members) {
+  if (literal_mode_) return;
+  // Once a member's root has committed, no further commitment can
+  // matter for it.
+  members &= ~committed_members();
   const QueryNode* parent = node->parent();
   // The children of `parent` at `level` were expanded by one candidate,
   // the open element at level - 1; its close aggregates exactly them.
   for (const auto& sibling : parent->children()) {
-    if (!Established(sibling.get(), level)) return;
+    if (members == 0) return;
+    members &= Established(sibling.get(), level);
   }
+  if (members == 0) return;
   if (parent->is_root()) {
-    frontier_[0].committed = true;  // the root record, inserted first
+    frontier_[0].committed |= members;  // the root record, inserted first
   } else if (parent->axis() == Axis::kDescendant) {
     // The contexts the aggregation at the candidate's close will set:
     // records anchored strictly above it. Recursion adds no records, so
     // the reference stays valid.
     for (Record& r : frontier_) {
-      if (r.node != parent || r.level >= level || r.matched || r.committed) {
-        continue;
-      }
-      r.committed = true;
-      PropagateCommit(parent, r.level);
+      if (r.node != parent || r.level >= level) continue;
+      const MemberMask fresh = members & ~(r.matched | r.committed);
+      if (fresh == 0) continue;
+      r.committed |= fresh;
+      PropagateCommit(parent, r.level, fresh);
     }
   } else {
     // A child-axis parent is suspended while its candidate is open; the
     // aggregation reinserts it matched from suspended_matched_.
-    if (SuspendMatched(parent, level - 1)) PropagateCommit(parent, level - 1);
+    const MemberMask fresh = SuspendMatched(parent, level - 1, members);
+    if (fresh != 0) PropagateCommit(parent, level - 1, fresh);
   }
 }
 
@@ -248,25 +359,27 @@ Status FrontierFilter::HandleStartDocument() {
   XPS_RETURN_IF_ERROR(Reset());
   // The document root is the unique candidate match for the query root:
   // insert the root record and expand its children right away.
-  InsertRecord(query_->root(), 0, false);
+  InsertRecord(query_->root(), 0, 0);
   for (const auto& child : query_->root()->children()) {
-    InsertRecord(child.get(), 1, false);
+    InsertRecord(child.get(), 1, 0);
   }
   current_level_ = 1;
   return Status::OK();
 }
 
 Status FrontierFilter::HandleStartElement(Symbol name_sym) {
-  // Select candidate records (Fig. 20 startElement lines 1–4). In
-  // output-collection mode, already-matched succession-chain nodes are
-  // still re-expanded: every chain element needs its own m verdict, not
-  // just the first matching sibling's.
+  // Select candidate records (Fig. 20 startElement lines 1–4): those
+  // still unmatched for some live member. In output-collection mode,
+  // already-matched succession-chain nodes are still re-expanded: every
+  // chain element needs its own m verdict, not just the first matching
+  // sibling's.
   std::vector<size_t>& candidates = scratch_candidates_;
   candidates.clear();
   for (size_t i = 0; i < frontier_.size(); ++i) {
     const Record& r = frontier_[i];
     if (r.node->is_root()) continue;
-    if (r.matched && !(collecting_ && chain_set_.count(r.node) != 0)) {
+    if ((r.matched & live_) == live_ &&
+        !(collecting_ && chain_set_.count(r.node) != 0)) {
       continue;
     }
     if (r.node->axis() == Axis::kAttribute) continue;
@@ -288,13 +401,13 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
     } else {
       // Expand children (lines 12–15); child-axis parents leave the
       // frontier until their element closes (lines 10–11), remembering
-      // any already-established match across the reinsertion.
+      // the members they already matched for across the reinsertion.
       if (record.node->axis() == Axis::kChild) {
         to_delete.emplace_back(record.node, record.level);
-        if (record.matched) SuspendMatched(record.node, record.level);
+        SuspendMatched(record.node, record.level, record.matched);
       }
       for (const auto& child : record.node->children()) {
-        InsertRecord(child.get(), current_level_ + 1, false);
+        InsertRecord(child.get(), current_level_ + 1, 0);
       }
     }
   }
@@ -312,11 +425,13 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
   // unchanged. This element's captures are the innermost ones.
   for (auto it = captures_.rbegin();
        it != captures_.rend() && it->elem_level == current_level_; ++it) {
-    if (!nodes_[it->node->id()].universal_leaf) continue;
+    const MemberMask universal = nodes_[it->node->id()].universal_leaf & live_;
+    if (universal == 0) continue;
     Record* r = FindRecord(it->node, it->record_level);
-    if (r->matched || r->committed) continue;
-    r->committed = true;
-    PropagateCommit(it->node, it->record_level);
+    const MemberMask fresh = universal & ~(r->matched | r->committed);
+    if (fresh == 0) continue;
+    r->committed |= fresh;
+    PropagateCommit(it->node, it->record_level, fresh);
   }
 
   // Output collection: is this element the next candidate on the
@@ -356,15 +471,18 @@ Status FrontierFilter::HandleAttribute(Symbol name_sym,
   // the level element children would occupy. Internal attribute-axis
   // query nodes can never match (attributes have no children).
   for (Record& r : frontier_) {
-    if (r.matched || r.node->is_root()) continue;
+    const MemberMask open = live_ & ~r.matched;
+    if (open == 0 || r.node->is_root()) continue;
     if (r.node->axis() != Axis::kAttribute) continue;
     if (r.level != current_level_) continue;
     if (!NamePasses(r.node, name_sym)) continue;
     if (!r.node->IsLeaf()) continue;
-    if (truths_.Get(r.node).Contains(std::string(value))) {
-      r.matched = true;
-      PropagateCommit(r.node, r.level);  // adds no records: r stays valid
-    }
+    const MemberMask hits = TestValue(r.node, open, value);
+    if (hits == 0) continue;
+    r.matched |= hits;
+    // Adds no records: r stays valid.
+    const MemberMask fresh = hits & ~r.committed;
+    if (fresh != 0) PropagateCommit(r.node, r.level, fresh);
   }
   return Status::OK();
 }
@@ -389,25 +507,25 @@ Status FrontierFilter::HandleEndElement() {
 
   // Resolve leaf captures opened by this element (Fig. 21 lines 2–10).
   while (!captures_.empty() && captures_.back().elem_level == current_level_) {
-    Capture capture = captures_.back();
+    const Capture capture = captures_.back();
     captures_.pop_back();
-    // Universal truth sets (predicate-free leaves, the dissemination
-    // common case) accept any value: skip the truth-set lookup and the
-    // captured string — the per-event allocation the profile flagged.
-    if (nodes_[capture.node->id()].universal_leaf ||
-        truths_.Get(capture.node).Contains(buffer_.substr(capture.start))) {
-      // A real match for this leaf, in the context of exactly the record
-      // the capture was opened for. (Every live record that had this
-      // element as a candidate opened its own capture, so per-record
-      // resolution is complete; setting *all* records of the node would
-      // contaminate records created during this very element, whose
-      // candidates must be strict descendants.)
-      Record* r = FindRecord(capture.node, capture.record_level);
-      if (r != nullptr && !r->matched) {
-        r->matched = true;
-        if (!r->committed) PropagateCommit(capture.node, capture.record_level);
-      }
-    }
+    // The capture resolves in the context of exactly the record it was
+    // opened for. (Every live record that had this element as a
+    // candidate opened its own capture, so per-record resolution is
+    // complete; setting *all* records of the node would contaminate
+    // records created during this very element, whose candidates must
+    // be strict descendants.) Only live members still unmatched there
+    // are tested.
+    Record* r = FindRecord(capture.node, capture.record_level);
+    if (r == nullptr) continue;
+    const MemberMask open = live_ & ~r->matched;
+    if (open == 0) continue;
+    const MemberMask hits = TestValue(
+        capture.node, open, std::string_view(buffer_).substr(capture.start));
+    if (hits == 0) continue;
+    r->matched |= hits;
+    const MemberMask fresh = hits & ~r->committed;
+    if (fresh != 0) PropagateCommit(capture.node, capture.record_level, fresh);
   }
 
   AggregateChildren();
@@ -429,8 +547,9 @@ void FrontierFilter::CloseOutputScopes() {
       // OUT(Q) candidate: it is selected iff its own predicate children
       // were matched (leaves have no predicate, hence always real).
       bool real = node->IsLeaf()
-                      ? truths_.Get(node).Contains(
-                            buffer_.substr(scope.value_start))
+                      ? TestValue(node, MemberMask{1},
+                                  std::string_view(buffer_).substr(
+                                      scope.value_start)) != 0
                       : aggregated_m_[node->id()] == 1;
       if (real) {
         sink->push_back(buffer_.substr(scope.value_start));
@@ -451,7 +570,9 @@ void FrontierFilter::CloseOutputScopes() {
 void FrontierFilter::AggregateChildren() {
   // Records one level below current_level_ are exactly the children
   // expanded when the closing element started (Fig. 21 lines 11–29).
-  std::fill(aggregated_m_.begin(), aggregated_m_.end(), int8_t{-1});
+  if (collecting_) {
+    std::fill(aggregated_m_.begin(), aggregated_m_.end(), int8_t{-1});
+  }
   std::vector<const QueryNode*>& parents = scratch_parents_;
   parents.clear();
   for (const Record& r : frontier_) {
@@ -464,16 +585,16 @@ void FrontierFilter::AggregateChildren() {
   }
 
   for (const QueryNode* parent : parents) {
-    // m := all children of `parent` found a real match (lines 15–20).
-    bool m = true;
+    // m := the members for which all children of `parent` found a real
+    // match (lines 15–20). It starts from every member, removed ones
+    // included, so a one-member walk computes the pseudo-code's bit.
+    MemberMask m = all_;
     for (const auto& child : parent->children()) {
-      Record* r = FindRecord(child.get(), current_level_ + 1);
-      if (r == nullptr || !r->matched) {
-        m = false;
-        break;
-      }
+      const Record* r = FindRecord(child.get(), current_level_ + 1);
+      m &= r == nullptr ? 0 : r->matched;
+      if (m == 0) break;
     }
-    aggregated_m_[parent->id()] = m ? 1 : 0;
+    if (collecting_) aggregated_m_[parent->id()] = (m & 1) != 0 ? 1 : 0;
     // Delete the child records (line 19).
     frontier_.erase(std::remove_if(frontier_.begin(), frontier_.end(),
                                    [&](const Record& r) {
@@ -488,7 +609,7 @@ void FrontierFilter::AggregateChildren() {
     if (parent->is_root()) {
       Record* root = FindRecord(parent, 0);
       if (root != nullptr) {
-        root->matched = literal_mode_ ? m : (root->matched || m);
+        root->matched = literal_mode_ ? m : (root->matched | m);
       }
     } else if (parent->axis() == Axis::kDescendant) {
       // The closing element is a real match for `parent` in every
@@ -498,21 +619,23 @@ void FrontierFilter::AggregateChildren() {
       // candidates are strict descendants of this element).
       for (Record& r : frontier_) {
         if (r.node == parent && r.level <= current_level_) {
-          r.matched = literal_mode_ ? m : (r.matched || m);
+          r.matched = literal_mode_ ? m : (r.matched | m);
         }
       }
     } else {
-      bool prior = false;
-      auto it = std::find(suspended_matched_.begin(),
-                          suspended_matched_.end(),
-                          std::make_pair(parent, current_level_));
+      MemberMask prior = 0;
+      auto it = std::find_if(suspended_matched_.begin(),
+                             suspended_matched_.end(),
+                             [&](const Suspended& entry) {
+                               return entry.node == parent &&
+                                      entry.level == current_level_;
+                             });
       if (it != suspended_matched_.end()) {
-        prior = true;  // only matched records are suspended
+        prior = it->members;
         *it = suspended_matched_.back();
         suspended_matched_.pop_back();
       }
-      InsertRecord(parent, current_level_,
-                   literal_mode_ ? m : (m || prior));
+      InsertRecord(parent, current_level_, literal_mode_ ? m : (m | prior));
     }
   }
 }
@@ -524,18 +647,24 @@ Status FrontierFilter::HandleEndDocument() {
   current_level_ = 0;
   AggregateChildren();
   Record* root = FindRecord(query_->root(), 0);
-  matched_ = root != nullptr && root->matched;
-  if (collecting_ && matched_) {
+  matched_ = root != nullptr ? root->matched : 0;
+  if (collecting_ && (matched_ & 1) != 0) {
     outputs_ = std::move(root_pending_);
   }
   done_ = true;
   return Status::OK();
 }
 
-Result<bool> FrontierFilter::Matched() const {
+Result<FrontierFilter::MemberMask> FrontierFilter::MatchedMembers() const {
   if (failed_) return Status::Internal("filter failed");
   if (!done_) return Status::InvalidArgument("document not complete");
   return matched_;
+}
+
+Result<bool> FrontierFilter::Matched() const {
+  auto matched = MatchedMembers();
+  if (!matched.ok()) return matched.status();
+  return (*matched & 1) != 0;
 }
 
 std::string FrontierFilter::SerializeState() const {
@@ -548,8 +677,8 @@ std::string FrontierFilter::SerializeState() const {
   });
   std::string out = StringPrintf("L%zu|", current_level_);
   for (const Record& r : sorted) {
-    out += StringPrintf("(%zu,%zu,%d)", r.node->id(), r.level,
-                        r.matched ? 1 : 0);
+    out += StringPrintf("(%zu,%zu,%llu)", r.node->id(), r.level,
+                        static_cast<unsigned long long>(r.matched));
   }
   out += "|C";
   for (const Capture& c : captures_) {
@@ -557,8 +686,187 @@ std::string FrontierFilter::SerializeState() const {
                         c.elem_level, c.start);
   }
   out += "|B" + buffer_;
-  out += done_ ? (matched_ ? "|M1" : "|M0") : "|-";
+  out += done_ ? StringPrintf("|M%llu", static_cast<unsigned long long>(
+                                           matched_))
+               : "|-";
   return out;
+}
+
+namespace {
+
+/// The frontier engine: one FrontierFilter walk per query shape, each
+/// serving up to kMaxMembers subscriptions (implementation note 6).
+/// Verdicts, decided positions and sink reports equal those of a bank
+/// of one-member filters.
+class FrontierMatcher : public Matcher {
+ public:
+  explicit FrontierMatcher(SymbolTable* symbols) { BindSymbols(symbols); }
+
+  std::string name() const override { return "frontier"; }
+  Status Subscribe(size_t slot, const Query* query) override;
+  Status Unsubscribe(size_t slot) override;
+  size_t NumSubscriptions() const override { return slots_.size(); }
+  Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
+  Result<std::vector<bool>> Verdicts() const override;
+  const MemoryStats& stats() const override;
+
+ private:
+  using MemberMask = FrontierFilter::MemberMask;
+
+  struct Walk {
+    std::unique_ptr<FrontierFilter> filter;
+    std::vector<size_t> slots;  ///< member -> slot
+    /// Members reported as matched in the current document.
+    MemberMask reported = 0;
+    /// Left the current document's scan under the cut: every live
+    /// member had committed.
+    bool cut = false;
+  };
+
+  /// Where a slot runs.
+  struct SlotRef {
+    size_t walk;
+    size_t member;
+  };
+
+  std::vector<Walk> walks_;
+  std::vector<SlotRef> slots_;
+  /// Shape key -> the walk that takes that shape's next member.
+  std::unordered_map<std::string, size_t> open_walks_;
+  /// Walks the current document still feeds, ascending: every walk
+  /// with a live member at document start, minus those cut.
+  std::vector<size_t> fed_;
+  /// One event's (ordinal, slot) reports, sorted before the sink.
+  std::vector<std::pair<size_t, size_t>> reports_;
+  mutable MemoryStats stats_;  // aggregated on demand
+};
+
+Status FrontierMatcher::Subscribe(size_t slot, const Query* query) {
+  if (slot != slots_.size()) {
+    return Status::InvalidArgument("subscription slots must be dense");
+  }
+  std::string key = FrontierFilter::ShapeKey(*query);
+  auto open = open_walks_.find(key);
+  if (open != open_walks_.end() &&
+      walks_[open->second].filter->num_members() <
+          FrontierFilter::kMaxMembers) {
+    Walk& walk = walks_[open->second];
+    auto member = walk.filter->AddMember(query);
+    if (!member.ok()) return member.status();
+    walk.slots.push_back(slot);
+    slots_.push_back(SlotRef{open->second, *member});
+    return Status::OK();
+  }
+  // A new shape, or a full walk: a fresh walk takes the shape's next
+  // members.
+  auto filter = FrontierFilter::Create(query, symbols());
+  if (!filter.ok()) return filter.status();
+  walks_.push_back(Walk{std::move(filter).value(), {slot}});
+  open_walks_[std::move(key)] = walks_.size() - 1;
+  slots_.push_back(SlotRef{walks_.size() - 1, 0});
+  return Status::OK();
+}
+
+Status FrontierMatcher::Unsubscribe(size_t slot) {
+  if (slot >= slots_.size()) {
+    return Status::InvalidArgument("unknown or already tombstoned slot");
+  }
+  FrontierFilter* filter = walks_[slots_[slot].walk].filter.get();
+  const MemberMask bit = MemberMask{1} << slots_[slot].member;
+  if ((filter->live_members() & bit) == 0) {
+    return Status::InvalidArgument("unknown or already tombstoned slot");
+  }
+  filter->RemoveMember(slots_[slot].member);
+  return Status::OK();
+}
+
+Status FrontierMatcher::OnSymbolizedEvent(const Event& event,
+                                          Symbol name_sym) {
+  if (event.type == EventType::kStartDocument) {
+    // Walks reset themselves on startDocument. A walk without live
+    // members is not fed: it can never report.
+    fed_.clear();
+    for (size_t w = 0; w < walks_.size(); ++w) {
+      walks_[w].reported = 0;
+      walks_[w].cut = false;
+      if (walks_[w].filter->live_members() != 0) fed_.push_back(w);
+    }
+  }
+  const bool at_end = event.type == EventType::kEndDocument;
+  reports_.clear();
+  for (size_t i = 0; i < fed_.size();) {
+    Walk& walk = walks_[fed_[i]];
+    FrontierFilter* filter = walk.filter.get();
+    XPS_RETURN_IF_ERROR(filter->OnSymbolizedEvent(event, name_sym));
+    // Mid-document a decided verdict is always a match: a committed
+    // root. At endDocument the remaining members decide, false or true.
+    MemberMask matched = filter->committed_members();
+    if (at_end) {
+      auto verdicts = filter->MatchedMembers();
+      if (!verdicts.ok()) return verdicts.status();
+      matched = *verdicts;
+    }
+    const MemberMask live = filter->live_members();
+    const MemberMask fresh = matched & live & ~walk.reported;
+    walk.reported |= fresh;
+    if (sink_ != nullptr) {
+      for (MemberMask rest = fresh; rest != 0; rest &= rest - 1) {
+        const size_t member = static_cast<size_t>(__builtin_ctzll(rest));
+        reports_.emplace_back(filter->DecidedAt(member), walk.slots[member]);
+      }
+    }
+    if (short_circuit_ && !at_end && walk.reported == live) {
+      // The cut: no live member's verdict can change, so the walk sees
+      // no further events of this document.
+      walk.cut = true;
+      fed_.erase(fed_.begin() + static_cast<ptrdiff_t>(i));
+      continue;
+    }
+    ++i;
+  }
+  if (!reports_.empty()) {
+    // The sink contract: ascending slot within one ordinal.
+    std::sort(reports_.begin(), reports_.end());
+    for (const auto& [ordinal, slot] : reports_) {
+      sink_->OnSlotMatched(slot, ordinal);
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<bool>> FrontierMatcher::Verdicts() const {
+  std::vector<bool> verdicts(slots_.size(), false);  // tombstones read false
+  for (const Walk& walk : walks_) {
+    if (walk.filter->live_members() == 0) continue;  // never fed
+    // A cut walk never saw endDocument; each of its live members
+    // committed, and a commitment is a match.
+    MemberMask matched = walk.reported;
+    if (!walk.cut) {
+      auto members = walk.filter->MatchedMembers();
+      if (!members.ok()) return members.status();
+      matched = *members & walk.filter->live_members();
+    }
+    for (MemberMask rest = matched; rest != 0; rest &= rest - 1) {
+      verdicts[walk.slots[static_cast<size_t>(__builtin_ctzll(rest))]] = true;
+    }
+  }
+  return verdicts;
+}
+
+const MemoryStats& FrontierMatcher::stats() const {
+  stats_.Reset();
+  for (const Walk& walk : walks_) {
+    if (walk.filter->live_members() != 0) {
+      stats_.Accumulate(walk.filter->stats());
+    }
+  }
+  return stats_;
+}
+
+}  // namespace
+
+std::unique_ptr<Matcher> NewFrontierMatcher(SymbolTable* symbols) {
+  return std::make_unique<FrontierMatcher>(symbols);
 }
 
 }  // namespace xpstream

@@ -19,7 +19,7 @@
 /// buffered characters (Thm 8.8), and FS(Q) tuples for path
 /// consistency-free closure-free queries.
 ///
-/// Five implementation notes. The first three are deliberate
+/// Six implementation notes. The first three are deliberate
 /// deviations from the literal pseudo-code, each a correctness fix
 /// validated by differential testing against the ground truth
 /// evaluator (see DESIGN.md §5):
@@ -59,12 +59,31 @@
 /// tuple and no tuples, so the Thm 8.8 bound stands. Literal
 /// pseudo-code mode does not propagate.
 ///
+/// The sixth is sharing: one walk serves every member query of one
+/// shape (ShapeKey: the query tree in pre-order with axes, node tests
+/// and child order, without value tests), up to kMaxMembers. Member
+/// queries' pre-order node ids line up, so each record's matched and
+/// committed bits become per-member masks, and each leaf holds one
+/// compiled value test per member (ValueTest, compiled at AddMember). A
+/// record stays a candidate, and counts as an open descendant for
+/// skipping, while it is unmatched for some live member. The sharing is
+/// exact: a record expanded only because another member is unmatched
+/// there changes nothing for a member already matched — matched bits
+/// OR-accumulate, commitment skips contexts already matched or
+/// committed, and a suspended child-axis record keeps that member's bit
+/// and restores it at reinsertion. A walk holds one query's records, so
+/// the Thm 8.8 tuple bound holds per walk, plus one bit per member per
+/// record. Output collection and literal pseudo-code mode run on
+/// one-member walks only.
+///
 /// Supported fragment (paper §8): univariate conjunctive
 /// leaf-only-value-restricted Forward XPath; checked at construction.
 
 #include <cstdint>
-#include <set>
 #include <memory>
+#include <set>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,17 +95,60 @@ namespace xpstream {
 
 class FrontierFilter : public StreamFilter {
  public:
+  /// One bit per member query, member i at bit i.
+  using MemberMask = uint64_t;
+  /// The most members one walk serves: the width of a MemberMask.
+  static constexpr size_t kMaxMembers = 64;
+
   /// Validates the fragment and builds per-node metadata, resolving
   /// each node's test to a Symbol in `symbols` (the pipeline's shared
   /// table; nullptr = a private one), so candidate selection is integer
-  /// compares. The query must outlive the filter.
+  /// compares. `query` becomes member 0. The query must outlive the
+  /// filter.
   static Result<std::unique_ptr<FrontierFilter>> Create(
       const Query* query, SymbolTable* symbols = nullptr);
 
+  /// The key under which queries share a walk: the query tree in
+  /// pre-order with each node's axis, node test and child order, and
+  /// no value tests (implementation note 6).
+  static std::string ShapeKey(const Query& query);
+
+  /// Adds `query`, whose ShapeKey must equal this walk's, as the next
+  /// member and returns its index. Fails on a full walk, a walk that
+  /// collects outputs or runs in literal mode, and a query outside the
+  /// fragment. Must not be called between startDocument and
+  /// endDocument (a walk cut at its members' commitment counts as
+  /// between documents). The query must outlive the filter.
+  Result<size_t> AddMember(const Query* query);
+
+  /// Stops evaluating `member` for good: its bits are no longer
+  /// maintained, and the walk keeps its index.
+  void RemoveMember(size_t member) { live_ &= ~(MemberMask{1} << member); }
+
+  size_t num_members() const {
+    return static_cast<size_t>(__builtin_popcountll(all_));
+  }
+  MemberMask live_members() const { return live_; }
+
+  /// Members whose verdict is already provably a match: the root record
+  /// is committed for them (implementation note 5).
+  MemberMask committed_members() const {
+    return frontier_.empty() ? 0 : frontier_[0].committed;
+  }
+
+  /// Per-member verdicts; valid only after endDocument was consumed.
+  Result<MemberMask> MatchedMembers() const;
+
+  /// The event ordinal at which `member`'s verdict was decided, or
+  /// kNoEventOrdinal while undecided.
+  size_t DecidedAt(size_t member) const { return decided_at_[member]; }
+
   Status Reset() override;
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
+  /// Member 0's verdict.
   Result<bool> Matched() const override;
-  size_t DecidedAt() const override { return decided_at_; }
+  /// Member 0's decided position.
+  size_t DecidedAt() const override { return decided_at_[0]; }
   std::string SerializeState() const override;
   const MemoryStats& stats() const override { return stats_; }
   std::string name() const override { return "FrontierFilter"; }
@@ -100,8 +162,9 @@ class FrontierFilter : public StreamFilter {
   /// Collects the string values of the nodes FULLEVAL selects, buffering
   /// candidates until their ancestors' predicates are confirmed — the
   /// buffering the paper's follow-up work [5] proves unavoidable.
-  /// Supported when every step on the succession chain from the root to
-  /// OUT(Q) has a child axis; returns kUnsupported otherwise.
+  /// Supported on a one-member walk when every step on the succession
+  /// chain from the root to OUT(Q) has a child axis; returns
+  /// kUnsupported otherwise.
   Status EnableOutputCollection();
 
   /// Selected output values in document order; valid after endDocument.
@@ -110,8 +173,9 @@ class FrontierFilter : public StreamFilter {
   /// Ablation switch: replay the paper's *literal* pseudo-code (Fig. 21
   /// line 28 assigns `matched := m` instead of OR-accumulating). Used by
   /// the ablation study to demonstrate the recursion bug the deviation
-  /// in DESIGN.md §5 fixes. Not for production use.
-  void SetLiteralPseudocodeMode(bool literal) { literal_mode_ = literal; }
+  /// in DESIGN.md §5 fixes. Not for production use. One-member walks
+  /// only: kUnsupported on a shared walk.
+  Status SetLiteralPseudocodeMode(bool literal);
 
  private:
   explicit FrontierFilter(const Query* query) : query_(query) {}
@@ -119,11 +183,11 @@ class FrontierFilter : public StreamFilter {
   struct Record {
     const QueryNode* node;
     size_t level;   ///< level at which candidates are expected (child axis)
-    bool matched;
-    /// Earliest-commitment lookahead (implementation note 5): this
-    /// context's aggregation will set `matched`. Candidate selection,
-    /// skipping and the aggregation never read it.
-    bool committed;
+    MemberMask matched;
+    /// Earliest-commitment lookahead (implementation note 5): for these
+    /// members this context's aggregation will set `matched`. Candidate
+    /// selection, skipping and the aggregation never read it.
+    MemberMask committed;
   };
 
   /// An open string-value capture of one candidate element for one leaf
@@ -135,8 +199,17 @@ class FrontierFilter : public StreamFilter {
     size_t start;         ///< offset into buffer_
   };
 
+  /// Checks the fragment, then appends `query`'s compiled value tests
+  /// as the next member's.
+  Status CompileMember(const Query& query);
+
+  /// The members in `open` whose value test at leaf `node` accepts
+  /// `value`.
+  MemberMask TestValue(const QueryNode* node, MemberMask open,
+                       std::string_view value) const;
+
   Record* FindRecord(const QueryNode* node, size_t level);
-  void InsertRecord(const QueryNode* node, size_t level, bool matched);
+  void InsertRecord(const QueryNode* node, size_t level, MemberMask matched);
   void UpdateGauges();
   void Snapshot(const Event& event);
 
@@ -162,34 +235,29 @@ class FrontierFilter : public StreamFilter {
   /// Output-collection bookkeeping at element close.
   void CloseOutputScopes();
 
-  /// True when the root verdict is already provably true: the root
-  /// record (frontier_[0] once startDocument has run) is committed, so
-  /// the endDocument aggregation must report a match — the frontier
-  /// engine's commitment point. Polled after every event. Never true in
-  /// literal pseudo-code mode, which does not propagate.
-  bool RootVerdictDecided() const {
-    return !frontier_.empty() && frontier_[0].committed;
-  }
+  /// The members the suspended child-axis record (node, level) is
+  /// recorded as matched for in suspended_matched_.
+  MemberMask SuspendedMatched(const QueryNode* node, size_t level) const;
 
-  /// Whether the suspended child-axis record (node, level) is recorded
-  /// as matched in suspended_matched_.
-  bool IsSuspendedMatched(const QueryNode* node, size_t level) const;
+  /// Records the suspended child-axis record (node, level) as matched
+  /// for `members`; returns the members it newly recorded.
+  MemberMask SuspendMatched(const QueryNode* node, size_t level,
+                            MemberMask members);
 
-  /// Records the suspended child-axis record (node, level) as matched;
-  /// returns false when it already was.
-  bool SuspendMatched(const QueryNode* node, size_t level);
+  /// The members for which the context (node, level) is known to
+  /// match: its live record is matched or committed, or it is a
+  /// child-axis record suspended during its candidate's expansion and
+  /// recorded in suspended_matched_.
+  MemberMask Established(const QueryNode* node, size_t level);
 
-  /// True when the context (node, level) is known to match: its live
-  /// record is matched or committed, or it is a child-axis record
-  /// suspended during its candidate's expansion and recorded in
-  /// suspended_matched_.
-  bool Established(const QueryNode* node, size_t level);
-
-  /// Called after (node, level) becomes established. When every
-  /// sibling of `node` is established at `level`, commits the parent
-  /// contexts the aggregation at the candidate's close will set, and
-  /// repeats from each of them toward the root (implementation note 5).
-  void PropagateCommit(const QueryNode* node, size_t level);
+  /// Called after (node, level) becomes established for `members`. For
+  /// the members whose siblings of `node` are all established at
+  /// `level`, commits the parent contexts the aggregation at the
+  /// candidate's close will set, and repeats from each of them toward
+  /// the root (implementation note 5). Members whose root has
+  /// committed drop out.
+  void PropagateCommit(const QueryNode* node, size_t level,
+                       MemberMask members);
 
   /// Consumes one event inside an irrelevant subtree: only the level
   /// and the ordinal move, and the skip ends when the subtree's root
@@ -205,28 +273,32 @@ class FrontierFilter : public StreamFilter {
   /// True while an OUT(Q) candidate's string value is being captured.
   bool OutValueOpen() const;
 
-  const Query* query_;
-  TruthSetMap truths_;
+  const Query* query_;  ///< member 0: the tree the walk follows
   /// What the event path reads of one query node, resolved once at
   /// creation.
   struct NodeInfo {
     Symbol sym = kNoSymbol;  ///< the node test's interned symbol
     bool wild = false;       ///< wildcard node test
-    /// A leaf whose truth set is universal: decided by its element's
-    /// start.
-    bool universal_leaf = false;
+    /// The members for which this node is a leaf with a universal
+    /// truth set: decided by its element's start.
+    MemberMask universal_leaf = 0;
   };
   std::vector<NodeInfo> nodes_;  ///< indexed by query node id
+  /// TRUTH(node) compiled per member: tests_[node id][member].
+  std::vector<std::vector<ValueTest>> tests_;
+  MemberMask all_ = 0;   ///< every member, removed ones included
+  MemberMask live_ = 0;  ///< members not removed
 
   std::vector<Record> frontier_;
   std::vector<Capture> captures_;
   std::string buffer_;
   size_t current_level_ = 0;
   bool done_ = false;
-  bool matched_ = false;
+  MemberMask matched_ = 0;  ///< per-member verdicts at endDocument
   bool failed_ = false;
   size_t ordinal_ = 0;  ///< ordinal of the event being consumed
-  size_t decided_at_ = kNoEventOrdinal;
+  std::vector<size_t> decided_at_;  ///< per member
+  MemberMask decided_ = 0;  ///< members whose decided_at_ is set
   /// Nonzero while skipping an irrelevant subtree: the level its root
   /// element occupies, which current_level_ returns to when it closes.
   size_t skip_level_ = 0;
@@ -251,19 +323,25 @@ class FrontierFilter : public StreamFilter {
   bool collecting_ = false;
   std::vector<const QueryNode*> chain_;  ///< root successors to OUT(Q)
   std::set<const QueryNode*> chain_set_;
-  /// Child-axis records suspended during candidate expansion whose
-  /// matched bit must be set (OR-merged) at reinsertion. Entries are
-  /// only stored for records already matched or committed by the
-  /// lookahead, so this is a flat set of (query node, level) keys —
-  /// linear-scanned, since at most one entry per open ancestor level
+  /// A child-axis record suspended during candidate expansion, with
+  /// the members whose matched bit must be set (OR-merged) at
+  /// reinsertion: those it was matched for, or committed by the
+  /// lookahead.
+  struct Suspended {
+    const QueryNode* node;
+    size_t level;
+    MemberMask members;
+  };
+  /// Linear-scanned, since at most one entry per open ancestor level
   /// can be live.
-  std::vector<std::pair<const QueryNode*, size_t>> suspended_matched_;
+  std::vector<Suspended> suspended_matched_;
   std::vector<OutputScope> scopes_;      ///< innermost last
   std::vector<std::string> root_pending_;
   std::vector<std::string> outputs_;
   /// Per-endElement-round aggregation verdicts indexed by query node
-  /// id: -1 not aggregated this round, else the m bit. A flat array
-  /// (not a map) so the per-event hot path allocates nothing.
+  /// id, kept only while collecting: -1 not aggregated this round, else
+  /// the m bit. A flat array (not a map) so the per-event hot path
+  /// allocates nothing.
   std::vector<int8_t> aggregated_m_;
 
   // Scratch for the per-event handlers: cleared per use, capacity kept

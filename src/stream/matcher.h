@@ -8,12 +8,14 @@
 /// slots, the document arrives as SAX events, and after endDocument the
 /// matcher reports one verdict per slot plus uniform MemoryStats.
 ///
-/// Two families implement the interface:
+/// Three families implement the interface:
 ///  * FilterBankMatcher — one StreamFilter per subscription sharing a
-///    single SAX scan (frontier / nfa / lazy_dfa / naive engines);
+///    single SAX scan (nfa / lazy_dfa / naive engines);
+///  * the frontier matcher (frontier engine), one FrontierFilter walk
+///    per query shape, each shared by up to 64 subscriptions;
 ///  * the shared-automaton matcher over NfaIndex (nfa_index engine),
 ///    where all subscriptions run in one automaton.
-/// Both are created by name through CreateMatcher
+/// All are created by name through CreateMatcher
 /// (stream/engine_registry.h).
 
 #include <cstdint>
@@ -106,8 +108,9 @@ class Matcher {
   virtual Result<std::vector<bool>> Verdicts() const = 0;
 
   /// Memory accounting for the current/most recent document. For a
-  /// filter bank this is the sum over member filters (peaks sum to an
-  /// upper bound, since members may peak at different moments).
+  /// filter bank this is the sum over member filters, for the frontier
+  /// matcher the sum over its walks (peaks sum to an upper bound, since
+  /// the parts may peak at different moments).
   virtual const MemoryStats& stats() const = 0;
 
  protected:

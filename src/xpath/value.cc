@@ -135,8 +135,7 @@ std::string Value::DebugString() const {
   return "?";
 }
 
-namespace {
-bool CompareDouble(double a, CompOp op, double b) {
+bool CompareNumbers(double a, CompOp op, double b) {
   switch (op) {
     case CompOp::kEq:
       return a == b;
@@ -154,6 +153,7 @@ bool CompareDouble(double a, CompOp op, double b) {
   return false;
 }
 
+namespace {
 template <typename T>
 bool CompareOrdered(const T& a, CompOp op, const T& b) {
   switch (op) {
@@ -177,14 +177,14 @@ bool CompareOrdered(const T& a, CompOp op, const T& b) {
 bool CompareAtomic(const Value& lhs, CompOp op, const Value& rhs) {
   // Ordering comparisons are always numeric, as in XPath 1.0.
   if (op != CompOp::kEq && op != CompOp::kNe) {
-    return CompareDouble(lhs.ToNumber(), op, rhs.ToNumber());
+    return CompareNumbers(lhs.ToNumber(), op, rhs.ToNumber());
   }
   if (lhs.kind() == ValueKind::kBoolean || rhs.kind() == ValueKind::kBoolean) {
     return CompareOrdered(lhs.EffectiveBooleanValue(), op,
                           rhs.EffectiveBooleanValue());
   }
   if (lhs.kind() == ValueKind::kNumber || rhs.kind() == ValueKind::kNumber) {
-    return CompareDouble(lhs.ToNumber(), op, rhs.ToNumber());
+    return CompareNumbers(lhs.ToNumber(), op, rhs.ToNumber());
   }
   return CompareOrdered(lhs.ToString(), op, rhs.ToString());
 }

@@ -79,6 +79,10 @@ class Value {
 /// IEEE and XPath.
 bool CompareAtomic(const Value& lhs, CompOp op, const Value& rhs);
 
+/// CompareAtomic's numeric rule: IEEE comparison, except that != is
+/// false when either side is NaN.
+bool CompareNumbers(double a, CompOp op, double b);
+
 /// Applies an arithmetic operator to two atomics, both cast to number.
 /// div by zero yields ±Infinity/NaN per IEEE; idiv/mod on zero yield NaN.
 double ApplyArith(const Value& lhs, ArithOp op, const Value& rhs);

@@ -160,6 +160,77 @@ TEST(SampleCandidatesTest, IncludesDerivedConstants) {
   EXPECT_TRUE(found_boundary);
 }
 
+/// Values that probe the number parser and the raw string compares:
+/// padding, signs, leading zeros, bare dots, exponents (values only:
+/// the XPath parser rejects them as literals), NaN and infinity
+/// spellings, non-ASCII text and a number too long for a double.
+std::vector<std::string> ProbeValues() {
+  return {"",    " ",   "5",        " 5",  "\t5\n", "05",       "5.0",
+          "5.",  ".5",  "-0",       "+5",  "1e3",    "NaN",      "Infinity",
+          "abc", "é",   ".",        std::string(400, '7')};
+}
+
+/// Compiles TRUTH(b) of `/a[<predicate>]` and checks Accepts against
+/// Contains on every probe value; returns whether the test stayed
+/// generic.
+bool ExpectCompiledParity(const std::string& predicate, size_t* pairs) {
+  Fixture f = Make("/a[" + predicate + "]");
+  const TruthSet& truth = f.truths.Get(f.Node("b"));
+  EXPECT_FALSE(truth.is_universal()) << predicate;
+  const ValueTest test = ValueTest::Compile(truth);
+  for (const std::string& value : ProbeValues()) {
+    CapturedValue captured(value);
+    EXPECT_EQ(test.Accepts(&captured), truth.Contains(value))
+        << predicate << " on \"" << value << "\"";
+    ++*pairs;
+  }
+  return test.is_generic();
+}
+
+TEST(ValueTestTest, CompiledComparisonsEqualTheExpressionTree) {
+  size_t pairs = 0;
+  for (const char* op : {"=", "!=", "<", "<=", ">", ">="}) {
+    for (const char* constant :
+         {"5", "0", "-0", "2.5", "\"5\"", "\"abc\"", "\"\"", "\" 5 \"",
+          "\"NaN\""}) {
+      const std::string c = constant;
+      EXPECT_FALSE(ExpectCompiledParity("b " + std::string(op) + " " + c,
+                                        &pairs))
+          << op << " " << c;
+      EXPECT_FALSE(ExpectCompiledParity(c + " " + op + " b", &pairs))
+          << c << " " << op;
+    }
+  }
+  EXPECT_EQ(pairs, 6u * 9 * 2 * ProbeValues().size());
+}
+
+TEST(ValueTestTest, CompiledStringFunctionsEqualTheExpressionTree) {
+  size_t pairs = 0;
+  for (const char* function : {"contains", "starts-with"}) {
+    for (const char* constant : {"\"\"", "\"a\"", "\" \""}) {
+      EXPECT_FALSE(ExpectCompiledParity(
+          std::string(function) + "(b, " + constant + ")", &pairs))
+          << function << " " << constant;
+    }
+  }
+  // Forms outside the compiled set stay generic, and agree trivially.
+  for (const char* predicate :
+       {"ends-with(b, \"5\")", "contains(\"a\", b)", "b + 1 > 5",
+        "string-length(b) > 2"}) {
+    EXPECT_TRUE(ExpectCompiledParity(predicate, &pairs)) << predicate;
+  }
+  EXPECT_GT(pairs, 0u);
+}
+
+TEST(ValueTestTest, UniversalAcceptsEverything) {
+  const ValueTest test = ValueTest::Compile(TruthSet::Universal());
+  EXPECT_TRUE(test.is_universal());
+  for (const std::string& value : ProbeValues()) {
+    CapturedValue captured(value);
+    EXPECT_TRUE(test.Accepts(&captured)) << value;
+  }
+}
+
 TEST(AtomicDecompositionTest, FlattensConjunction) {
   auto q = ParseQuery("/a[b > 5 and c and contains(d, \"x\")]");
   ASSERT_TRUE(q.ok());

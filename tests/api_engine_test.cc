@@ -303,22 +303,34 @@ TEST(EngineTest, FilterEventsDiscardsPartialDocumentOnFailure) {
 
 TEST(EngineTest, EveryEngineRecoversFromAMalformedEventStream) {
   // The event API skips the parser's checks, so the malformed document
-  // reaches the matchers. The tree-walking engines check element
-  // balance and reject it; every engine must then start the next
-  // document clean.
-  const EventStream unclosed = {Event::StartDocument(),
-                                Event::StartElement("a"),
-                                Event::EndDocument()};
-  for (const std::string& name : Engine::AvailableEngines()) {
-    auto engine = MustCreate(name);
-    ASSERT_TRUE(engine->Subscribe("q", "/a").ok()) << name;
-    auto rejected = engine->FilterEvents(unclosed);
-    if (name == "frontier" || name == "naive") {
-      EXPECT_FALSE(rejected.ok()) << name;
+  // reaches the facade. Every engine, "auto" included, must reject an
+  // unclosed element and an unbalanced endElement, with the cut off
+  // and on, and then start the next document clean.
+  const std::vector<EventStream> malformed = {
+      {Event::StartDocument(), Event::StartElement("a"),
+       Event::EndDocument()},
+      {Event::StartDocument(), Event::EndElement("a"), Event::EndDocument()},
+  };
+  std::vector<std::string> names = Engine::AvailableEngines();
+  names.push_back("auto");
+  for (const std::string& name : names) {
+    for (bool short_circuit : {false, true}) {
+      EngineOptions options;
+      options.engine = name;
+      options.short_circuit = short_circuit;
+      auto engine = Engine::Create(options);
+      ASSERT_TRUE(engine.ok()) << name;
+      ASSERT_TRUE((*engine)->Subscribe("q", "/a").ok()) << name;
+      for (const EventStream& events : malformed) {
+        EXPECT_FALSE((*engine)->FilterEvents(events).ok())
+            << name << " short_circuit=" << short_circuit << ": "
+            << EventStreamToString(events);
+        auto verdicts = (*engine)->FilterXml("<a/>");
+        ASSERT_TRUE(verdicts.ok())
+            << name << ": " << verdicts.status().ToString();
+        EXPECT_TRUE((*verdicts)[0]) << name;
+      }
     }
-    auto verdicts = engine->FilterXml("<a/>");
-    ASSERT_TRUE(verdicts.ok()) << name << ": " << verdicts.status().ToString();
-    EXPECT_TRUE((*verdicts)[0]) << name;
   }
 }
 
