@@ -157,10 +157,13 @@ struct EngineOptions {
   /// one automaton and is cut only whole. A pure work cut: verdicts,
   /// decided positions and sink deliveries are identical to a full
   /// scan. Memory gauges stop at each slot's commitment, so peaks are
-  /// at most a full scan's. Malformed tails still fail: byte input is
-  /// fully parsed and validated, and the facade itself checks SAX stream
-  /// shape (an unbalanced endElement, an endDocument with open
-  /// elements), which the engines past their commitment no longer see.
+  /// at most a full scan's. Malformed tails still fail: on bytes, once
+  /// every slot has committed, the parser validates the rest of the
+  /// document and counts it into the observed profile without emitting
+  /// events, so the profile still measures the whole document; on
+  /// events the facade itself checks stream shape (an unbalanced
+  /// endElement, an endDocument with open elements), which the engines
+  /// past their commitment no longer see.
   bool short_circuit = false;
 
   /// Maximum open-element depth a document may reach on every entry
@@ -168,7 +171,8 @@ struct EngineOptions {
   /// fails the document with kNotWellFormed before the offending event
   /// reaches any engine — hostile-input hardening for service
   /// deployments, where deep recursion is exactly the adversary the
-  /// paper's §4 lower bounds build.
+  /// paper's §4 lower bounds build. The parser enforces it on bytes
+  /// (through a short-circuited tail too), the facade on events.
   size_t max_element_depth = 0;
 
   /// Cap on the cumulative bytes one document's entity and character
@@ -518,11 +522,12 @@ class Engine : public EventSink {
   /// per-slot results of the most recent document, if stale.
   void MaterializeExpansion() const;
 
-  /// Mirrors one event's effect on the open-element depth and rejects
-  /// an unbalanced endElement and an endDocument with open elements,
-  /// with or without short_circuit: not every engine tracks balance,
-  /// and engines past their commitment no longer see the events that
-  /// would have failed them.
+  /// For event input: mirrors one event's effect on the open-element
+  /// depth and rejects a start past max_element_depth, an unbalanced
+  /// endElement and an endDocument with open elements, with or without
+  /// short_circuit: not every engine tracks balance, and engines past
+  /// their commitment no longer see the events that would have failed
+  /// them. On bytes the parser performs these checks.
   Status CheckShape(const Event& event);
 
   /// Document-completion bookkeeping shared by the matched and the
@@ -586,7 +591,7 @@ class Engine : public EventSink {
   // --- current-document push/skip state ---
   ResultSink* result_sink_ = nullptr;
   bool short_circuited_ = false;  // skipping the rest of this document
-  size_t element_depth_ = 0;      // open elements (shape check under the cut)
+  size_t element_depth_ = 0;      // open elements of event input (CheckShape)
   size_t event_ordinal_ = 0;      // ordinal of the next event
   size_t matched_count_ = 0;      // eval slots decided (matched) so far
   std::vector<size_t> decided_at_;  // per eval slot, current document

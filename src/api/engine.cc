@@ -447,6 +447,7 @@ Status Engine::Feed(std::string_view chunk) {
     parser_options.arena = &parse_arena_;
     parser_options.stable_input = stable_parse_;
     parser_ = std::make_unique<XmlParser>(this, parser_options);
+    parser_->SetMaxElementDepth(options_.max_element_depth);
     parser_->SetMaxEntityExpansionBytes(options_.max_entity_expansion_bytes);
   }
   return parser_->Feed(chunk);
@@ -556,13 +557,19 @@ const std::vector<size_t>& Engine::last_decided_at() const {
 }
 
 Status Engine::CheckShape(const Event& event) {
-  // The facade checks element balance itself, with or without the cut:
-  // not every engine checks it, and under the cut the engines still fed
-  // may not check what a cut one would have. So every engine rejects
-  // the same malformed event stream. (Byte input additionally passes
-  // the full XmlParser validation.)
+  // The facade checks element balance of event input itself, with or
+  // without the cut: not every engine checks it, and under the cut the
+  // engines still fed may not check what a cut one would have. So every
+  // engine rejects the same malformed event stream. (Byte input is
+  // checked by the XmlParser instead, through the counted tail too.)
   switch (event.type) {
     case EventType::kStartElement:
+      if (options_.max_element_depth != 0 &&
+          element_depth_ >= options_.max_element_depth) {
+        return Status::NotWellFormed(
+            "element depth exceeds max_element_depth = " +
+            std::to_string(options_.max_element_depth));
+      }
       ++element_depth_;
       break;
     case EventType::kEndElement:
@@ -657,7 +664,7 @@ Status Engine::OnEvent(const Event& event) {
         return Status::NotWellFormed("endDocument outside a document");
       }
       collector_.OnEvent(event);
-      XPS_RETURN_IF_ERROR(CheckShape(event));
+      if (parser_ == nullptr) XPS_RETURN_IF_ERROR(CheckShape(event));
       if (short_circuited_) {
         // All subscriptions decided mid-document — decided means
         // matched, so the verdicts are known without the matcher.
@@ -681,19 +688,13 @@ Status Engine::OnEvent(const Event& event) {
       if (!in_document_) {
         return Status::NotWellFormed("content outside a document");
       }
-      // Depth cap before the event reaches matcher or skip path: a
-      // hostile deep document fails cleanly instead of growing
-      // per-level engine state without bound.
-      if (event.type == EventType::kStartElement &&
-          options_.max_element_depth != 0 &&
-          element_depth_ >= options_.max_element_depth) {
-        return Status::NotWellFormed(
-            "element depth exceeds max_element_depth = " +
-            std::to_string(options_.max_element_depth));
-      }
+      // Shape and depth cap before the event reaches matcher or skip
+      // path: a hostile deep document fails cleanly instead of growing
+      // per-level engine state without bound. The parser checks both
+      // on bytes.
+      if (parser_ == nullptr) XPS_RETURN_IF_ERROR(CheckShape(event));
       // The profile measures the whole document, skipped tail included.
       collector_.OnEvent(event);
-      XPS_RETURN_IF_ERROR(CheckShape(event));
       if (!short_circuited_) {
         XPS_RETURN_IF_ERROR(FeedMembers(event));
         // Per-event streaming keeps push delivery synchronous:
@@ -709,6 +710,10 @@ Status Engine::OnEvent(const Event& event) {
       if (options_.short_circuit && live_slots > 0 &&
           matched_count_ == live_slots) {
         short_circuited_ = true;
+        // On bytes the parser validates the tail and counts it into
+        // the profile itself: no further event reaches the facade
+        // before endDocument.
+        if (parser_ != nullptr) parser_->CountRestInto(&collector_);
       }
       return Status::OK();
     }

@@ -28,53 +28,26 @@ namespace xpstream {
 
 namespace {
 
-/// Event collector for the pipelined ingest path: buffers one
-/// document's SAX events while enforcing the open-element depth cap at
-/// parse time, so a hostile document fails at its publisher before it
-/// can occupy a pool queue slot. The collected events are pushed as-is
-/// (no copy): the parser writes every name/text byte into the owning
-/// EventBuffer's arena (see PendingDoc), so the views stay valid for
-/// the buffer's lifetime, including after it is moved into the pool.
-struct DepthCapSink : EventSink {
-  EventBuffer* out = nullptr;
-  size_t depth = 0;
-  size_t max_depth = 0;  // 0 = unlimited
-
-  Status OnEvent(const Event& event) override {
-    if (event.type == EventType::kStartElement) {
-      if (max_depth != 0 && depth >= max_depth) {
-        return Status::NotWellFormed(
-            "element depth exceeds max_element_depth = " +
-            std::to_string(max_depth));
-      }
-      ++depth;
-    } else if (event.type == EventType::kEndElement && depth > 0) {
-      --depth;
-    }
-    out->events().push_back(event);
-    return Status::OK();
-  }
-};
-
 /// One connection's in-flight document on a pipelined server: the
 /// loop-thread parser and the self-contained event batch it
 /// accumulates. The parser's scratch arena IS the batch's arena, so a
-/// chunk's name/text bytes are copied exactly once (chunk -> arena) and
-/// the finished buffer moves into the pool queue without another pass.
-/// Unlike the serial mode's service-wide publisher latch, each
-/// connection owns at most one of these — publishers stream
-/// concurrently.
+/// chunk's name/text bytes are copied exactly once (chunk -> arena),
+/// the collected views stay valid for the buffer's lifetime, and the
+/// finished buffer moves into the pool queue without another pass. The
+/// parser enforces both caps, so a hostile document fails at its
+/// publisher before it can occupy a pool queue slot. Unlike the serial
+/// mode's service-wide publisher latch, each connection owns at most
+/// one of these — publishers stream concurrently.
 struct PendingDoc {
   EventBuffer events;
-  DepthCapSink sink;
+  CollectingSink sink{&events.events()};
   XmlParser parser;
   size_t bytes = 0;
   double parse_seconds = 0;  // loop-thread time spent in Feed/Finish
 
   PendingDoc(size_t max_depth, size_t entity_cap)
       : parser(&sink, ParserOptions(&events.arena())) {
-    sink.out = &events;
-    sink.max_depth = max_depth;
+    parser.SetMaxElementDepth(max_depth);
     parser.SetMaxEntityExpansionBytes(entity_cap);
   }
 

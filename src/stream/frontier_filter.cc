@@ -159,22 +159,34 @@ Status FrontierFilter::EnableOutputCollection() {
   return Status::OK();
 }
 
+size_t FrontierFilter::LevelBegin(size_t level) const {
+  size_t i = frontier_.size();
+  while (i > 0 && frontier_[i - 1].level >= level) --i;
+  return i;
+}
+
 FrontierFilter::Record* FrontierFilter::FindRecord(const QueryNode* node,
                                                    size_t level) {
-  for (Record& r : frontier_) {
-    if (r.node == node && r.level == level) return &r;
+  for (size_t i = frontier_.size(); i-- > 0 && frontier_[i].level >= level;) {
+    if (frontier_[i].level == level && frontier_[i].node == node) {
+      return &frontier_[i];
+    }
   }
   return nullptr;
 }
 
-void FrontierFilter::InsertRecord(const QueryNode* node, size_t level,
-                                  MemberMask matched) {
+Status FrontierFilter::InsertRecord(const QueryNode* node, size_t level,
+                                    MemberMask matched) {
   Record* existing = FindRecord(node, level);
   if (existing != nullptr) {
     existing->matched |= matched;
-    return;
+    return Status::OK();
+  }
+  if (!frontier_.empty() && frontier_.back().level > level) {
+    return Status::Internal("frontier table out of level order");
   }
   frontier_.push_back(Record{node, level, matched, 0});
+  return Status::OK();
 }
 
 FrontierFilter::MemberMask FrontierFilter::TestValue(
@@ -338,10 +350,13 @@ void FrontierFilter::PropagateCommit(const QueryNode* node, size_t level,
     frontier_[0].committed |= members;  // the root record, inserted first
   } else if (parent->axis() == Axis::kDescendant) {
     // The contexts the aggregation at the candidate's close will set:
-    // records anchored strictly above it. Recursion adds no records, so
+    // records anchored strictly above it, which the level order puts
+    // before the first record at `level`. Recursion adds no records, so
     // the reference stays valid.
-    for (Record& r : frontier_) {
-      if (r.node != parent || r.level >= level) continue;
+    for (size_t i = 0; i < frontier_.size() && frontier_[i].level < level;
+         ++i) {
+      Record& r = frontier_[i];
+      if (r.node != parent) continue;
       const MemberMask fresh = members & ~(r.matched | r.committed);
       if (fresh == 0) continue;
       r.committed |= fresh;
@@ -359,9 +374,9 @@ Status FrontierFilter::HandleStartDocument() {
   XPS_RETURN_IF_ERROR(Reset());
   // The document root is the unique candidate match for the query root:
   // insert the root record and expand its children right away.
-  InsertRecord(query_->root(), 0, 0);
+  XPS_RETURN_IF_ERROR(InsertRecord(query_->root(), 0, 0));
   for (const auto& child : query_->root()->children()) {
-    InsertRecord(child.get(), 1, 0);
+    XPS_RETURN_IF_ERROR(InsertRecord(child.get(), 1, 0));
   }
   current_level_ = 1;
   return Status::OK();
@@ -407,17 +422,13 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
         SuspendMatched(record.node, record.level, record.matched);
       }
       for (const auto& child : record.node->children()) {
-        InsertRecord(child.get(), current_level_ + 1, 0);
+        XPS_RETURN_IF_ERROR(InsertRecord(child.get(), current_level_ + 1, 0));
       }
     }
   }
   for (const auto& [node, level] : to_delete) {
-    frontier_.erase(
-        std::remove_if(frontier_.begin(), frontier_.end(),
-                       [&](const Record& r) {
-                         return r.node == node && r.level == level;
-                       }),
-        frontier_.end());
+    const Record* r = FindRecord(node, level);
+    frontier_.erase(frontier_.begin() + (r - frontier_.data()));
   }
   // Earliest commitment (implementation note 5): a leaf whose truth set
   // is universal is decided by its element's start. Its capture stays
@@ -528,7 +539,7 @@ Status FrontierFilter::HandleEndElement() {
     if (fresh != 0) PropagateCommit(capture.node, capture.record_level, fresh);
   }
 
-  AggregateChildren();
+  XPS_RETURN_IF_ERROR(AggregateChildren());
   if (collecting_) CloseOutputScopes();
   if (captures_.empty() && !OutValueOpen()) {
     buffer_.clear();
@@ -567,24 +578,23 @@ void FrontierFilter::CloseOutputScopes() {
   }
 }
 
-void FrontierFilter::AggregateChildren() {
+Status FrontierFilter::AggregateChildren() {
   // Records one level below current_level_ are exactly the children
-  // expanded when the closing element started (Fig. 21 lines 11–29).
+  // expanded when the closing element started (Fig. 21 lines 11–29),
+  // and the level order makes them the table's suffix.
   if (collecting_) {
     std::fill(aggregated_m_.begin(), aggregated_m_.end(), int8_t{-1});
   }
-  std::vector<const QueryNode*>& parents = scratch_parents_;
+  const size_t children = LevelBegin(current_level_ + 1);
+  std::vector<std::pair<const QueryNode*, MemberMask>>& parents =
+      scratch_parents_;
   parents.clear();
-  for (const Record& r : frontier_) {
-    if (r.level > current_level_ && !r.node->is_root()) {
-      const QueryNode* parent = r.node->parent();
-      if (std::find(parents.begin(), parents.end(), parent) == parents.end()) {
-        parents.push_back(parent);
-      }
+  for (size_t i = children; i < frontier_.size(); ++i) {
+    const QueryNode* parent = frontier_[i].node->parent();
+    if (std::any_of(parents.begin(), parents.end(),
+                    [parent](const auto& p) { return p.first == parent; })) {
+      continue;
     }
-  }
-
-  for (const QueryNode* parent : parents) {
     // m := the members for which all children of `parent` found a real
     // match (lines 15–20). It starts from every member, removed ones
     // included, so a one-member walk computes the pseudo-code's bit.
@@ -594,15 +604,16 @@ void FrontierFilter::AggregateChildren() {
       m &= r == nullptr ? 0 : r->matched;
       if (m == 0) break;
     }
+    parents.emplace_back(parent, m);
+  }
+  // Delete the child records (line 19), all at once: no parent update
+  // below reads or writes the suffix — the root sits at level 0, a
+  // descendant-axis parent at current_level_ or shallower, and a
+  // child-axis parent is reinserted at current_level_.
+  frontier_.resize(children);
+
+  for (const auto& [parent, m] : parents) {
     if (collecting_) aggregated_m_[parent->id()] = (m & 1) != 0 ? 1 : 0;
-    // Delete the child records (line 19).
-    frontier_.erase(std::remove_if(frontier_.begin(), frontier_.end(),
-                                   [&](const Record& r) {
-                                     return r.level > current_level_ &&
-                                            !r.node->is_root() &&
-                                            r.node->parent() == parent;
-                                   }),
-                    frontier_.end());
     // Update the parent (lines 21–28). The literal pseudo-code assigns
     // `matched := m`; the default mode OR-accumulates, which is the
     // correctness fix for recursive documents (DESIGN.md §5).
@@ -613,14 +624,12 @@ void FrontierFilter::AggregateChildren() {
       }
     } else if (parent->axis() == Axis::kDescendant) {
       // The closing element is a real match for `parent` in every
-      // context whose anchor is a *strict* ancestor — i.e. records at
-      // level <= current_level_. A record at current_level_+1 was
-      // created by this very element and must not be set (its
-      // candidates are strict descendants of this element).
+      // context whose anchor is a *strict* ancestor — i.e. every record
+      // left, all at level <= current_level_. The deleted records at
+      // current_level_+1 were created by this very element and must
+      // not be set (their candidates are strict descendants of it).
       for (Record& r : frontier_) {
-        if (r.node == parent && r.level <= current_level_) {
-          r.matched = literal_mode_ ? m : (r.matched | m);
-        }
+        if (r.node == parent) r.matched = literal_mode_ ? m : (r.matched | m);
       }
     } else {
       MemberMask prior = 0;
@@ -635,9 +644,11 @@ void FrontierFilter::AggregateChildren() {
         *it = suspended_matched_.back();
         suspended_matched_.pop_back();
       }
-      InsertRecord(parent, current_level_, literal_mode_ ? m : (m | prior));
+      XPS_RETURN_IF_ERROR(InsertRecord(parent, current_level_,
+                                       literal_mode_ ? m : (m | prior)));
     }
   }
+  return Status::OK();
 }
 
 Status FrontierFilter::HandleEndDocument() {
@@ -645,7 +656,7 @@ Status FrontierFilter::HandleEndDocument() {
     return Status::NotWellFormed("endDocument with open elements");
   }
   current_level_ = 0;
-  AggregateChildren();
+  XPS_RETURN_IF_ERROR(AggregateChildren());
   Record* root = FindRecord(query_->root(), 0);
   matched_ = root != nullptr ? root->matched : 0;
   if (collecting_ && (matched_ & 1) != 0) {

@@ -208,8 +208,19 @@ class FrontierFilter : public StreamFilter {
   MemberMask TestValue(const QueryNode* node, MemberMask open,
                        std::string_view value) const;
 
+  /// The index of the first record at `level` or deeper. Like
+  /// FindRecord, it scans back from the table's end and stops at the
+  /// first shallower record: almost every lookup is for one of the
+  /// deepest open levels, which sit at the end. (Bisection measured
+  /// slower: a mispredicted branch per step on tables of a few
+  /// records.)
+  size_t LevelBegin(size_t level) const;
   Record* FindRecord(const QueryNode* node, size_t level);
-  void InsertRecord(const QueryNode* node, size_t level, MemberMask matched);
+  /// ORs `matched` into the record (node, level), appending it first if
+  /// absent. An append that would break the level order fails with
+  /// kInternal.
+  Status InsertRecord(const QueryNode* node, size_t level,
+                      MemberMask matched);
   void UpdateGauges();
   void Snapshot(const Event& event);
 
@@ -227,10 +238,11 @@ class FrontierFilter : public StreamFilter {
   Status HandleEndElement();
   Status HandleEndDocument();
 
-  /// Aggregates all records one level below current_level_ into real
-  /// match bits for their query parents (endElement lines 11–29).
-  /// Per-parent m bits of this round land in aggregated_m_.
-  void AggregateChildren();
+  /// Aggregates all records one level below current_level_ — the
+  /// table's suffix — into real match bits for their query parents
+  /// (endElement lines 11–29). Per-parent m bits of this round land in
+  /// aggregated_m_.
+  Status AggregateChildren();
 
   /// Output-collection bookkeeping at element close.
   void CloseOutputScopes();
@@ -289,6 +301,15 @@ class FrontierFilter : public StreamFilter {
   MemberMask all_ = 0;   ///< every member, removed ones included
   MemberMask live_ = 0;  ///< members not removed
 
+  /// The frontier table, ordered by level (non-decreasing) at every
+  /// event boundary. Records are appended only at the deepest open
+  /// level: an expanding candidate appends its children at
+  /// current_level_ + 1, and a child-axis parent is reinserted at
+  /// current_level_ once the closing element's children are gone. Every
+  /// deletion keeps the order. So a closing element's children are the
+  /// table's suffix, a lookup scans only the records at its level or
+  /// deeper, and InsertRecord guards the order. It is the per-level
+  /// stack of YFilter's runtime (Diao et al., TODS 2003), flattened.
   std::vector<Record> frontier_;
   std::vector<Capture> captures_;
   std::string buffer_;
@@ -348,7 +369,7 @@ class FrontierFilter : public StreamFilter {
   // across events and documents — the allocation-free hot path.
   std::vector<size_t> scratch_candidates_;
   std::vector<std::pair<const QueryNode*, size_t>> scratch_delete_;
-  std::vector<const QueryNode*> scratch_parents_;
+  std::vector<std::pair<const QueryNode*, MemberMask>> scratch_parents_;
 };
 
 }  // namespace xpstream

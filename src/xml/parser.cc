@@ -36,7 +36,16 @@ Status XmlParser::Fail(const std::string& msg) {
 Status XmlParser::Emit(const Event& event) {
   if (!started_) {
     started_ = true;
-    XPS_RETURN_IF_ERROR(sink_->OnEvent(Event::StartDocument()));
+    XPS_RETURN_IF_ERROR(Deliver(Event::StartDocument()));
+  }
+  return Deliver(event);
+}
+
+Status XmlParser::Deliver(const Event& event) {
+  // Checked per event: the sink may switch to count mode mid-tag.
+  if (counter_ != nullptr) {
+    counter_->OnEvent(event);
+    return Status::OK();
   }
   return sink_->OnEvent(event);
 }
@@ -50,6 +59,8 @@ std::string_view XmlParser::DurableName(std::string_view name, Symbol sym) {
 }
 
 std::string_view XmlParser::DurableText(std::string_view text) {
+  // The collector reads only the size, before the window moves.
+  if (counter_ != nullptr) return text;
   if (stable_input_ && !window_is_buf_) return text;
   return arena_->CopyString(text);
 }
@@ -153,10 +164,8 @@ Status XmlParser::Finish() {
     return Fail("document has no root element");
   }
   state_ = State::kDone;
-  if (!started_) {
-    started_ = true;
-    XPS_RETURN_IF_ERROR(sink_->OnEvent(Event::StartDocument()));
-  }
+  // The root's start tag emitted startDocument. endDocument goes to the
+  // sink in count mode too, so the sink still sees the document end.
   return sink_->OnEvent(Event::EndDocument());
 }
 
@@ -359,6 +368,11 @@ Status XmlParser::HandleStartTag(std::string_view body, bool may_have_refs) {
   // Intern once per start tag; the matching end tag reuses the symbol
   // from the open-element stack.
   const Symbol sym = symbols_ != nullptr ? symbols_->Intern(name) : kNoSymbol;
+  if (max_element_depth_ != 0 && open_.size() >= max_element_depth_) {
+    state_ = State::kFailed;
+    return Status::NotWellFormed("element depth exceeds max_element_depth = " +
+                                 std::to_string(max_element_depth_));
+  }
   const std::string_view out_name = DurableName(name, sym);
   XPS_RETURN_IF_ERROR(Emit(Event::StartElement(out_name, sym)));
   state_ = State::kContent;

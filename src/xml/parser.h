@@ -23,6 +23,10 @@
 /// instructions and the XML declaration (both skipped), CDATA sections,
 /// the five predefined entities and decimal/hex character references.
 /// DTDs are not supported.
+///
+/// Count mode (CountRestInto) serves a consumer that has decided the
+/// document before its end: the rest is still tokenized and validated,
+/// but its events go to a DocumentStatsCollector instead of the sink.
 
 #include <memory>
 #include <string>
@@ -32,6 +36,7 @@
 #include "common/status.h"
 #include "xml/arena.h"
 #include "xml/event.h"
+#include "xml/stats.h"
 #include "xml/structural_index.h"
 #include "xml/symbol_table.h"
 
@@ -98,6 +103,32 @@ class XmlParser {
     max_entity_expansion_bytes_ = cap;
   }
 
+  /// Caps the open-element depth (0 = unlimited, the default). A start
+  /// tag that would open element number cap + 1 fails with
+  /// kNotWellFormed "element depth exceeds max_element_depth = <cap>",
+  /// checked once its name is validated and interned, in count mode
+  /// too. Set before the first Feed().
+  void SetMaxElementDepth(size_t cap) { max_element_depth_ = cap; }
+
+  /// Switches to count mode for the rest of this document. The sink may
+  /// call it from inside OnEvent, and the caller before the first
+  /// Feed(). From the next event on, every event the parser would have
+  /// emitted before endDocument goes to `collector` instead of the
+  /// sink; Finish() still delivers endDocument to the sink.
+  ///
+  /// Every check stays, so the parse accepts and rejects exactly what
+  /// the full parse does, with the same status: names, attribute
+  /// syntax, each end tag against the open stack, CDATA and markup
+  /// placement, both caps. Names are still interned. Text and attribute
+  /// values without references reach the collector as views of the
+  /// parse window, never copied (it reads only their sizes); values
+  /// with references are still decoded, which checks them, charges the
+  /// expansion cap and gives the decoded size. `collector` must outlive
+  /// the parser.
+  void CountRestInto(DocumentStatsCollector* collector) {
+    counter_ = collector;
+  }
+
   /// Feeds the next chunk of document text. Returns the first error
   /// encountered; after an error the parser is unusable.
   Status Feed(std::string_view chunk);
@@ -116,7 +147,10 @@ class XmlParser {
   };
 
   Status Fail(const std::string& msg);
+  /// Emits `event` (after startDocument, the first time) to the sink,
+  /// or in count mode to the collector.
   Status Emit(const Event& event);
+  Status Deliver(const Event& event);
 
   /// One Feed-sized slice; Feed splits oversized chunks so window
   /// offsets fit the tape encoding.
@@ -142,7 +176,8 @@ class XmlParser {
   /// (stable_input over a direct chunk window), the arena otherwise.
   std::string_view DurableName(std::string_view name, Symbol sym);
 
-  /// Chooses the backing for emitted text that needs no decoding.
+  /// Chooses the backing for emitted text that needs no decoding. In
+  /// count mode that is the window itself.
   std::string_view DurableText(std::string_view text);
 
   /// Decodes entity and character references into the arena. Fails on
@@ -182,6 +217,8 @@ class XmlParser {
   size_t line_ = 1;        // for error messages
   std::vector<OpenElement> open_;  // open element stack
   bool started_ = false;   // startDocument emitted
+  DocumentStatsCollector* counter_ = nullptr;  // count mode when set
+  size_t max_element_depth_ = 0;           // 0 = unlimited
   size_t max_entity_expansion_bytes_ = 0;  // 0 = unlimited
   size_t entity_expanded_ = 0;  // reference-decoded bytes this document
 };

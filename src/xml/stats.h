@@ -6,7 +6,9 @@
 /// and by the planner: size, depth (paper §4.3), element/text counts and
 /// maximum text length. Two producers exist — ComputeDocumentStats over a
 /// built tree, and the streaming DocumentStatsCollector the Engine facade
-/// runs over every document it filters. A DocumentProfile folds the
+/// runs over every document it filters. When the facade short-circuits a
+/// byte document, the parser feeds the collector the counted tail itself
+/// (XmlParser::CountRestInto). A DocumentProfile folds the
 /// per-document readings into the running maxima the cost model
 /// (include/xpstream/planner.h, docs/cost_model.md) feeds into the
 /// paper's §4 bound formulas. Query-relative statistics (recursion depth,
@@ -50,7 +52,9 @@ DocumentStats ComputeDocumentStats(const XmlDocument& doc);
 /// event of one document (startDocument through endDocument) and read
 /// stats() afterwards. O(depth) state — safe to run inline with
 /// filtering, which is exactly what the Engine facade does to keep its
-/// DocumentProfile current. Robust to malformed streams (never fails;
+/// DocumentProfile current; a parser in count mode feeds it the events
+/// it no longer emits. It reads only the sizes of names and texts, so
+/// it never retains a view. Robust to malformed streams (never fails;
 /// garbage in, best-effort numbers out — the parser's job is rejection).
 class DocumentStatsCollector {
  public:

@@ -20,6 +20,7 @@
 #include "workload/doc_generator.h"
 #include "workload/query_generator.h"
 #include "workload/scenarios.h"
+#include "xml/writer.h"
 #include "xpstream/xpstream.h"
 
 namespace xpstream {
@@ -173,14 +174,26 @@ TEST(ApiSinkTest, DeliveryModesControlNotificationTiming) {
   EXPECT_EQ(sink.documents[0].second, (std::vector<bool>{true, true}));
 }
 
+/// Every field of a DocumentProfile, in declaration order.
+std::vector<size_t> ProfileFields(const DocumentProfile& profile) {
+  return {profile.documents,          profile.max_depth,
+          profile.max_fanout,         profile.max_text_bytes,
+          profile.max_document_bytes, profile.max_events,
+          profile.distinct_names};
+}
+
 // Short-circuit is a pure work cut: verdicts, history, decided
 // positions and sink callbacks all match the full scan — for the
 // facade skip path and for the per-slot commitment cut, which a
 // holdout subscription that never matches leaves as the only cut that
-// can fire.
+// can fire. On bytes the parser validates and counts the cut tail, so
+// the observed profile matches too.
 TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
   // All subscriptions decide in the prologue; a filler tail, nested
-  // one level deeper than the prologue, follows.
+  // one level deeper than the prologue, follows. Its attribute and
+  // text carry characters the serializer escapes, so on bytes the
+  // profile must see their decoded sizes, and its last element has a
+  // name nothing before the cut uses, so distinct_names must count it.
   EventStream doc;
   doc.push_back(Event::StartDocument());
   doc.push_back(Event::StartElement("feed"));
@@ -191,86 +204,122 @@ TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
   }
   for (int i = 0; i < 100; ++i) {
     doc.push_back(Event::StartElement("x"));
+    doc.push_back(Event::Attribute("k", "a<b&\"c\""));
     doc.push_back(Event::StartElement("y"));
-    doc.push_back(Event::Text("filler"));
+    doc.push_back(Event::Text("filler <&> filler"));
     doc.push_back(Event::EndElement("y"));
     doc.push_back(Event::EndElement("x"));
   }
+  doc.push_back(Event::StartElement("tail_only"));
+  doc.push_back(Event::EndElement("tail_only"));
   doc.push_back(Event::EndElement("feed"));
   doc.push_back(Event::EndDocument());
   // A second document where not everything matches: no cut happens.
   EventStream partial = FixtureDocument();
+  std::vector<std::string> xml;
+  for (const EventStream* events : {&doc, &partial}) {
+    auto text = EventsToXml(*events);
+    ASSERT_TRUE(text.ok());
+    xml.push_back(std::move(text).value());
+  }
 
+  enum Entry { kEvents, kWholeBytes, kChunkedBytes };
   for (const char* name :
        {"frontier", "nfa", "lazy_dfa", "naive", "nfa_index", "auto"}) {
     for (bool holdout : {false, true}) {
-      const std::string label =
-          std::string(name) + (holdout ? " holdout" : "");
-      RecordingSink reference;
-      std::vector<std::vector<bool>> reference_history;
-      std::vector<std::vector<size_t>> reference_positions;
-      size_t reference_peak = 0;
-      for (bool short_circuit : {false, true}) {
-        EngineOptions options;
-        options.engine = name;
-        options.short_circuit = short_circuit;
-        auto engine = Engine::Create(options);
-        ASSERT_TRUE(engine.ok()) << label;
-        RecordingSink sink;
-        (*engine)->SetSink(&sink);
-        for (int i = 0; i < 4; ++i) {
-          ASSERT_TRUE((*engine)
-                          ->Subscribe("h" + std::to_string(i),
-                                      "//h" + std::to_string(i),
-                                      DeliveryMode::kEarliest)
-                          .ok())
+      for (Entry entry : {kEvents, kWholeBytes, kChunkedBytes}) {
+        const std::string label = std::string(name) +
+                                  (holdout ? " holdout" : "") + " entry " +
+                                  std::to_string(entry);
+        RecordingSink reference;
+        std::vector<std::vector<bool>> reference_history;
+        std::vector<std::vector<size_t>> reference_positions;
+        std::vector<size_t> reference_profile;
+        size_t reference_peak = 0;
+        for (bool short_circuit : {false, true}) {
+          EngineOptions options;
+          options.engine = name;
+          options.short_circuit = short_circuit;
+          auto engine = Engine::Create(options);
+          ASSERT_TRUE(engine.ok()) << label;
+          RecordingSink sink;
+          (*engine)->SetSink(&sink);
+          for (int i = 0; i < 4; ++i) {
+            ASSERT_TRUE((*engine)
+                            ->Subscribe("h" + std::to_string(i),
+                                        "//h" + std::to_string(i),
+                                        DeliveryMode::kEarliest)
+                            .ok())
+                << label;
+          }
+          if (holdout) {
+            ASSERT_TRUE(
+                (*engine)->Subscribe("miss", "//zzz", DeliveryMode::kEarliest)
+                    .ok())
+                << label;
+          }
+          std::vector<std::vector<size_t>> positions;
+          Random widths(17);  // the same chunking with the cut off and on
+          for (size_t d = 0; d < 2; ++d) {
+            if (entry == kEvents) {
+              ASSERT_TRUE(
+                  (*engine)->FilterEvents(d == 0 ? doc : partial).ok())
+                  << label;
+            } else if (entry == kWholeBytes) {
+              ASSERT_TRUE((*engine)->FilterXml(xml[d]).ok()) << label;
+            } else {
+              const std::string_view text = xml[d];
+              for (size_t pos = 0; pos < text.size();) {
+                const size_t width = 1 + widths.Uniform(97);
+                ASSERT_TRUE((*engine)->Feed(text.substr(pos, width)).ok())
+                    << label;
+                pos += width;
+              }
+              ASSERT_TRUE((*engine)->FinishDocument().ok()) << label;
+            }
+            positions.push_back((*engine)->last_decided_at());
+          }
+          if (!short_circuit) {
+            reference = std::move(sink);
+            reference_history = (*engine)->history();
+            reference_positions = std::move(positions);
+            reference_profile = ProfileFields((*engine)->observed_profile());
+            reference_peak = (*engine)->peak_table_entries();
+            EXPECT_EQ((*engine)->documents_short_circuited(), 0u) << label;
+            continue;
+          }
+          EXPECT_EQ(sink.matches, reference.matches) << label;
+          EXPECT_EQ(sink.documents, reference.documents) << label;
+          EXPECT_EQ((*engine)->history(), reference_history) << label;
+          EXPECT_EQ(positions, reference_positions) << label;
+          if (entry != kEvents) {
+            EXPECT_EQ(ProfileFields((*engine)->observed_profile()),
+                      reference_profile)
+                << label;
+          }
+          // Gauges stop at each slot's commitment. The stack engines
+          // peak in the deeper tail, so only the holdout reaches it.
+          EXPECT_LE((*engine)->peak_table_entries(), reference_peak) << label;
+          if (holdout && (std::string(name) == "nfa" ||
+                          std::string(name) == "lazy_dfa")) {
+            EXPECT_LT((*engine)->peak_table_entries(), reference_peak)
+                << label;
+          }
+          // The facade skips a whole tail only when every subscription
+          // decided mid-document: without the holdout, and never for
+          // naive, which commits at endDocument.
+          const bool facade_cut = !holdout && std::string(name) != "naive";
+          EXPECT_EQ((*engine)->documents_short_circuited(),
+                    facade_cut ? 1u : 0u)
               << label;
         }
-        if (holdout) {
-          ASSERT_TRUE(
-              (*engine)->Subscribe("miss", "//zzz", DeliveryMode::kEarliest)
-                  .ok())
-              << label;
-        }
-        std::vector<std::vector<size_t>> positions;
-        for (const EventStream* events : {&doc, &partial}) {
-          ASSERT_TRUE((*engine)->FilterEvents(*events).ok()) << label;
-          positions.push_back((*engine)->last_decided_at());
-        }
-        if (!short_circuit) {
-          reference = std::move(sink);
-          reference_history = (*engine)->history();
-          reference_positions = std::move(positions);
-          reference_peak = (*engine)->peak_table_entries();
-          EXPECT_EQ((*engine)->documents_short_circuited(), 0u) << label;
-          continue;
-        }
-        EXPECT_EQ(sink.matches, reference.matches) << label;
-        EXPECT_EQ(sink.documents, reference.documents) << label;
-        EXPECT_EQ((*engine)->history(), reference_history) << label;
-        EXPECT_EQ(positions, reference_positions) << label;
-        // Gauges stop at each slot's commitment. The stack engines
-        // peak in the deeper tail, so only the holdout reaches it.
-        EXPECT_LE((*engine)->peak_table_entries(), reference_peak) << label;
-        if (holdout && (std::string(name) == "nfa" ||
-                        std::string(name) == "lazy_dfa")) {
-          EXPECT_LT((*engine)->peak_table_entries(), reference_peak)
-              << label;
-        }
-        // The facade skips a whole tail only when every subscription
-        // decided mid-document: without the holdout, and never for
-        // naive, which commits at endDocument.
-        const bool facade_cut = !holdout && std::string(name) != "naive";
-        EXPECT_EQ((*engine)->documents_short_circuited(),
-                  facade_cut ? 1u : 0u)
-            << label;
       }
     }
   }
 }
 
 // A malformed tail after the decision point must still fail: byte
-// input through the parser, SAX input through the depth check.
+// input through the parser, SAX input through the facade's shape check.
 TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
   EngineOptions options;
   options.engine = "nfa";
@@ -287,6 +336,67 @@ TEST(ApiSinkTest, ShortCircuitRejectsMalformedTails) {
     ASSERT_TRUE(retry.ok());
     EXPECT_TRUE((*retry)[0]);
     EXPECT_EQ((*engine)->documents_seen(), 1u);
+  }
+  {  // Byte path, whole and chunked: every tail after the cut (//b
+     // decides at <b>, ordinal 2) fails with the status the full parse
+     // reports, and the next good document still matches.
+    const std::string prefix = "<a><b/>";
+    std::string flood = "<c>";
+    for (int i = 0; i < 40; ++i) flood += "&#65;";
+    flood += "</c></a>";
+    const std::string tails[] = {
+        "<c></d></a>",
+        "<c><c><c><c><c><c></c></c></c></c></c></c></a>",
+        "<c>&bogus;</c></a>",
+        flood,
+        "</a>tail",
+        "<!-- never closed</a>",
+    };
+    for (const std::string& tail : tails) {
+      for (size_t width : {size_t{0}, size_t{3}}) {
+        std::string reference;  // the status with the cut off
+        for (bool short_circuit : {false, true}) {
+          const std::string label = tail + " width=" + std::to_string(width) +
+                                    " cut=" + std::to_string(short_circuit);
+          EngineOptions tail_options = options;
+          tail_options.short_circuit = short_circuit;
+          tail_options.max_element_depth = 6;
+          tail_options.max_entity_expansion_bytes = 16;
+          auto engine = Engine::Create(tail_options);
+          ASSERT_TRUE(engine.ok());
+          RecordingSink sink;
+          (*engine)->SetSink(&sink);
+          ASSERT_TRUE(
+              (*engine)->Subscribe("q", "//b", DeliveryMode::kEarliest).ok());
+          const std::string text = prefix + tail;
+          Status status;
+          if (width == 0) {
+            status = (*engine)->FilterXml(text).status();
+          } else {
+            for (size_t pos = 0; status.ok() && pos < text.size();
+                 pos += width) {
+              status = (*engine)->Feed(text.substr(pos, width));
+            }
+            if (status.ok()) status = (*engine)->FinishDocument();
+            if (!status.ok()) (*engine)->AbortDocument();
+          }
+          ASSERT_FALSE(status.ok()) << label;
+          EXPECT_EQ((*engine)->documents_seen(), 0u) << label;
+          // The match was pushed before the tail went wrong.
+          ASSERT_EQ(sink.matches.size(), 1u) << label;
+          EXPECT_EQ(std::get<2>(sink.matches[0]), 2u) << label;
+          if (!short_circuit) {
+            reference = status.ToString();
+          } else {
+            EXPECT_EQ(status.ToString(), reference) << label;
+          }
+          auto retry = (*engine)->FilterXml("<a><b/><c>&#65;</c></a>");
+          ASSERT_TRUE(retry.ok()) << label;
+          EXPECT_TRUE((*retry)[0]) << label;
+          EXPECT_EQ((*engine)->documents_seen(), 1u) << label;
+        }
+      }
+    }
   }
   {  // SAX path: unbalanced endElement in the skipped tail.
     auto engine = Engine::Create(options);

@@ -299,47 +299,54 @@ TEST(ServerHardeningTest, DocumentByteCapAbortsDocumentNotConnection) {
 }
 
 TEST(ServerHardeningTest, ElementDepthCapMatchesDirectEngine) {
-  ServerOptions options;
-  options.engine.engine = "frontier";
-  options.max_element_depth = 4;
-  auto server = Server::Start(options);
-  ASSERT_TRUE(server.ok());
-  auto client = Client::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE((*client)->Subscribe("//d").ok());
+  // The serial executor's engine parser and the pipelined loop-thread
+  // parser enforce the same cap.
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    ServerOptions options;
+    options.engine.engine = "frontier";
+    options.max_element_depth = 4;
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << "workers=" << workers;
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE((*client)->Subscribe("//d").ok());
 
-  EngineOptions direct_options = options.engine;
-  direct_options.max_element_depth = 4;
-  auto direct = Engine::Create(direct_options);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE((*direct)->Subscribe("q", "//d").ok());
+    EngineOptions direct_options = options.engine;
+    direct_options.max_element_depth = 4;
+    auto direct = Engine::Create(direct_options);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE((*direct)->Subscribe("q", "//d").ok());
 
-  const std::string at_cap = "<a><b><c><d/></c></b></a>";          // depth 4
-  const std::string over_cap = "<a><b><c><d><e/></d></c></b></a>";  // depth 5
+    const std::string at_cap = "<a><b><c><d/></c></b></a>";          // depth 4
+    const std::string over_cap = "<a><b><c><d><e/></d></c></b></a>";  // depth 5
 
-  ASSERT_TRUE((*client)->Feed(at_cap).ok());
-  EXPECT_TRUE((*client)->FinishDocument().ok());
-  EXPECT_TRUE((*direct)->FilterXml(at_cap).ok());
+    ASSERT_TRUE((*client)->Feed(at_cap).ok());
+    EXPECT_TRUE((*client)->FinishDocument().ok()) << "workers=" << workers;
+    EXPECT_TRUE((*direct)->FilterXml(at_cap).ok());
 
-  ASSERT_TRUE((*client)->Feed(over_cap).ok());
-  auto over_tcp = (*client)->FinishDocument();
-  auto over_direct = (*direct)->FilterXml(over_cap);
-  ASSERT_FALSE(over_tcp.ok());
-  ASSERT_FALSE(over_direct.ok());
-  EXPECT_EQ(over_tcp.status().code(), StatusCode::kNotWellFormed);
-  EXPECT_EQ(over_direct.status().code(), over_tcp.status().code());
+    ASSERT_TRUE((*client)->Feed(over_cap).ok());
+    auto over_tcp = (*client)->FinishDocument();
+    auto over_direct = (*direct)->FilterXml(over_cap);
+    ASSERT_FALSE(over_tcp.ok()) << "workers=" << workers;
+    ASSERT_FALSE(over_direct.ok());
+    EXPECT_EQ(over_tcp.status().code(), StatusCode::kNotWellFormed)
+        << "workers=" << workers;
+    EXPECT_EQ(over_direct.status().code(), StatusCode::kNotWellFormed);
 
-  // The cap holds on the pre-parsed entry point too.
-  auto over_events = ParseXmlToEvents(over_cap);
-  ASSERT_TRUE(over_events.ok());
-  auto over_batch = (*direct)->FilterEvents(over_events->events());
-  ASSERT_FALSE(over_batch.ok());
-  EXPECT_EQ(over_batch.status().code(), StatusCode::kNotWellFormed);
+    // The cap holds on the pre-parsed entry point too.
+    auto over_events = ParseXmlToEvents(over_cap);
+    ASSERT_TRUE(over_events.ok());
+    auto over_batch = (*direct)->FilterEvents(over_events->events());
+    ASSERT_FALSE(over_batch.ok());
+    EXPECT_EQ(over_batch.status().code(), StatusCode::kNotWellFormed);
 
-  // Both sides recover for the next well-formed document.
-  ASSERT_TRUE((*client)->Feed(at_cap).ok());
-  EXPECT_TRUE((*client)->FinishDocument().ok());
-  EXPECT_TRUE((*direct)->FilterXml(at_cap).ok());
+    // Both sides recover for the next well-formed document.
+    ASSERT_TRUE((*client)->Feed(at_cap).ok());
+    EXPECT_TRUE((*client)->FinishDocument().ok()) << "workers=" << workers;
+    EXPECT_TRUE((*direct)->FilterXml(at_cap).ok());
+    ExpectServiceHealthy((*server)->port());
+  }
 }
 
 TEST(ServerHardeningTest, MalformedXmlFailsDocumentNotConnection) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "stream/frontier_filter.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -105,22 +108,121 @@ TEST(FrontierFilterTest, SiblingRetry) {
                      "<a><b><c/></b><b><c/><d/></b></a>"));
 }
 
+/// The frontier table after each event of `xml`, in table order.
+std::vector<std::string> Trace(Runner* r, const std::string& xml) {
+  auto events = ParseXmlToEvents(xml);
+  EXPECT_TRUE(events.ok()) << events.status().ToString();
+  r->filter->EnableTrace();
+  auto verdict = RunFilter(r->filter.get(), events->events());
+  EXPECT_TRUE(verdict.ok() && *verdict);
+  return r->filter->trace();
+}
+
 TEST(FrontierFilterTest, Fig22Example) {
   // Paper Fig. 22: query /a[c[.//e and f] and b] on the depicted
   // document; the run matches, and the frontier never exceeds 3 records
-  // beyond the root bookkeeping.
+  // beyond the root bookkeeping. The table, record by record in table
+  // order, is the figure's.
   Runner r = Make("/a[c[.//e and f] and b]");
-  auto events =
-      ParseXmlToEvents("<a><c><d><e/></d><f/></c><c/><b/></a>");
-  ASSERT_TRUE(events.ok());
-  r.filter->EnableTrace();
-  auto verdict = RunFilter(r.filter.get(), events->events());
-  ASSERT_TRUE(verdict.ok());
-  EXPECT_TRUE(*verdict);
-  EXPECT_FALSE(r.filter->trace().empty());
+  const std::vector<std::string> expected = {
+      "<$> level=1 frontier=[(0,$,0) (1,a,0)]",
+      "<a> level=2 frontier=[(0,$,0) (2,c,0) (2,b,0)]",
+      "<c> level=3 frontier=[(0,$,0) (2,b,0) (3,e,0) (3,f,0)]",
+      "<d> level=4 frontier=[(0,$,0) (2,b,0) (3,e,0) (3,f,0)]",
+      "<e> level=5 frontier=[(0,$,0) (2,b,0) (3,e,0) (3,f,0)]",
+      "</e> level=4 frontier=[(0,$,0) (2,b,0) (3,e,1) (3,f,0)]",
+      "</d> level=3 frontier=[(0,$,0) (2,b,0) (3,e,1) (3,f,0)]",
+      "<f> level=4 frontier=[(0,$,0) (2,b,0) (3,e,1) (3,f,0)]",
+      "</f> level=3 frontier=[(0,$,0) (2,b,0) (3,e,1) (3,f,1)]",
+      "</c> level=2 frontier=[(0,$,0) (2,b,0) (2,c,1)]",
+      "<c> level=3 frontier=[(0,$,0) (2,b,0) (2,c,1)]",
+      "</c> level=2 frontier=[(0,$,0) (2,b,0) (2,c,1)]",
+      "<b> level=3 frontier=[(0,$,0) (2,b,0) (2,c,1)]",
+      "</b> level=2 frontier=[(0,$,0) (2,b,1) (2,c,1)]",
+      "</a> level=1 frontier=[(0,$,0) (1,a,1)]",
+      "</$> level=0 frontier=[(0,$,1)]",
+  };
+  EXPECT_EQ(Trace(&r, "<a><c><d><e/></d><f/></c><c/><b/></a>"), expected);
   // FS(Q) = 3; the table additionally holds the root record and, while
   // the a-element is open, its expanded children — peak stays <= 5.
   EXPECT_LE(r.filter->stats().table_entries().peak(), 5u);
+}
+
+TEST(FrontierFilterTest, ForwardedMessageTrace) {
+  // A message forwarded three deep: the descendant-axis msg record
+  // expands at every level, so the table holds one run of records per
+  // open envelope, in level order.
+  Runner r = Make("//msg[header/priority > 3 and body]");
+  const std::vector<std::string> expected = {
+      "<$> level=1 frontier=[(0,$,0) (1,msg,0)]",
+      "<feed> level=2 frontier=[(0,$,0) (1,msg,0)]",
+      "<msg> level=3 frontier=[(0,$,0) (1,msg,0) (3,header,0) (3,body,0)]",
+      "<header> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,priority,0)]",
+      "<from> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,priority,0)]",
+      "ann level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,priority,0)]",
+      "</from> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,priority,0)]",
+      "<priority> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) "
+      "(4,priority,0)]",
+      "5 level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,priority,0)]",
+      "</priority> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) "
+      "(4,priority,1)]",
+      "</header> level=3 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1)]",
+      "<msg> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,header,0) (4,body,0)]",
+      "<header> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "<from> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "bob level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "</from> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "<priority> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "2 level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (5,priority,0)]",
+      "</priority> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) "
+      "(3,header,1) (4,body,0) (5,priority,0)]",
+      "</header> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0)]",
+      "<msg> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,header,0) (5,body,0)]",
+      "<header> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "<from> level=7 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "cy level=7 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "</from> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "<priority> level=7 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "4 level=7 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (6,priority,0)]",
+      "</priority> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) "
+      "(3,header,1) (4,body,0) (4,header,0) (5,body,0) (6,priority,1)]",
+      "</header> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (5,header,1)]",
+      "<body> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (5,header,1)]",
+      "hi level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,0) (5,header,1)]",
+      "</body> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0) (5,body,1) (5,header,1)]",
+      "</msg> level=4 frontier=[(0,$,0) (1,msg,1) (3,body,0) (3,header,1) "
+      "(4,body,0) (4,header,0)]",
+      "</msg> level=3 frontier=[(0,$,0) (1,msg,1) (3,body,0) (3,header,1)]",
+      "</msg> level=2 frontier=[(0,$,0) (1,msg,1)]",
+      "</feed> level=1 frontier=[(0,$,0) (1,msg,1)]",
+      "</$> level=0 frontier=[(0,$,1)]",
+  };
+  EXPECT_EQ(Trace(&r,
+                  "<feed><msg><header><from>ann</from><priority>5</priority>"
+                  "</header><msg><header><from>bob</from>"
+                  "<priority>2</priority></header><msg><header>"
+                  "<from>cy</from><priority>4</priority></header>"
+                  "<body>hi</body></msg></msg></msg></feed>"),
+            expected);
 }
 
 TEST(FrontierFilterTest, UnsupportedQueriesRejected) {

@@ -5,6 +5,10 @@
 // point. Runs every checked-in corpus in tests/testdata plus an
 // entity-dense synthetic document through chunk widths 1/2/3/7/64/4096,
 // in both the default arena-backed mode and with a symbol table.
+//
+// The count-mode cases parse each input again at the same chunking and
+// switch the parser to count mode at every event ordinal: the prefix,
+// the status and the measured profile must equal the full parse's.
 
 #include <gtest/gtest.h>
 
@@ -149,25 +153,98 @@ TEST(XmlChunkDifferentialTest, EntityDenseDocumentTripsCapIdentically) {
   ExpectChunkingInvariant(xml, /*entity_cap=*/0, "entity-dense");
 }
 
+// Documents whose multi-byte tokens (CDATA fences, comments, charrefs,
+// attribute quotes) land on every width-1/2/3 boundary by construction.
+const char* const kStructuralInputs[] = {
+    "<a><![CDATA[x]]y]]&gt;]]></a>",
+    "<a><!-- - -- ->x--><b q='\"'/></a>",
+    "<a longattr=\"v1\" b='v2'><c>t1</c>t2<d/></a>",
+    "<?xml version=\"1.0\"?><r><s>&quot;&apos;</s></r>",
+    // Structural bytes immediately followed by their XOR-1 neighbor
+    // ('"#', '<=', '>?') — the pattern that defeats a borrow-based
+    // SWAR matcher by falsely flagging the trailing byte.
+    "<a href=\"#top\">t<b>text more</b></a>",
+    "<a><!-- x <= y >? --><b q=\"#\"/>#</a>",
+    "<a><![CDATA[a<=b >? \"#frag\"]]></a>",
+};
+
 TEST(XmlChunkDifferentialTest, StructuralTokensAcrossBoundaries) {
-  // Documents whose multi-byte tokens (CDATA fences, comments, charrefs,
-  // attribute quotes) land on every width-1/2/3 boundary by
-  // construction — the spill/rebase path must reproduce the whole-buffer
-  // parse exactly.
+  // The spill/rebase path must reproduce the whole-buffer parse exactly.
+  for (const char* input : kStructuralInputs) {
+    ExpectChunkingInvariant(input, /*entity_cap=*/0, input);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// The count-mode differential over every chunk width, interned or not.
+void ExpectCountModeAgrees(std::string_view xml, size_t entity_cap,
+                           const std::string& label) {
+  for (bool interned : {false, true}) {
+    for (size_t width : kChunkWidths) {
+      testutil::ParseSetup setup;
+      setup.interned = interned;
+      setup.entity_cap = entity_cap;
+      EXPECT_EQ(testutil::CountModeDisagreement(
+                    testutil::FixedChunks(xml, width), setup),
+                "")
+          << label << " width=" << width << " interned=" << interned
+          << " cap=" << entity_cap;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(XmlChunkDifferentialTest, CountModeMatchesFullParseOnCorpora) {
+  for (const auto& [label, xml] : TestDataDocuments()) {
+    for (size_t cap : {0u, 1u, 8u, 64u}) {
+      ExpectCountModeAgrees(xml, cap, label);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  std::string dense = "<a>";
+  for (int i = 0; i < 10; ++i) dense += "&amp;&#955;&lt;&#x1F600;";
+  dense += "</a>";
+  for (size_t cap : {0u, 1u, 2u, 5u, 9u, 40u, 1000u}) {
+    ExpectCountModeAgrees(dense, cap, "entity-dense");
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(XmlChunkDifferentialTest, CountModeRejectsMalformedTails) {
+  // Failures that arise after any switch point: the counted tail must
+  // fail with the full parse's code, line and message.
   const char* inputs[] = {
-      "<a><![CDATA[x]]y]]&gt;]]></a>",
-      "<a><!-- - -- ->x--><b q='\"'/></a>",
-      "<a longattr=\"v1\" b='v2'><c>t1</c>t2<d/></a>",
-      "<?xml version=\"1.0\"?><r><s>&quot;&apos;</s></r>",
-      // Structural bytes immediately followed by their XOR-1 neighbor
-      // ('"#', '<=', '>?') — the pattern that defeats a borrow-based
-      // SWAR matcher by falsely flagging the trailing byte.
-      "<a href=\"#top\">t<b>text more</b></a>",
-      "<a><!-- x <= y >? --><b q=\"#\"/>#</a>",
-      "<a><![CDATA[a<=b >? \"#frag\"]]></a>",
+      "<a><b>x</b><c>y</c><d/></a>",
+      "<a><b/><c>\n</c>\n<d></a>",
+      "<a><b/><c>&bogus;</c></a>",
+      "<a><b/><c x=\"&#0;\"/></a>",
+      "<a><b/><c x=\"1\" x2/></a>",
+      "<a><b/><c x=1/></a>",
+      "<a><b/><c x=\"1/></a>",
+      "<a><b/><1c/></a>",
+      "<a><b/></a>tail",
+      "<a><b/></a><b/>",
+      "<a><b/><!-- never closed </a>",
+      "<a><b/><![CDATA[never closed</a>",
+      "<a><b/><!DOCTYPE x></a>",
+      "<a><b/><?pi</a>",
+      "<a><b/></a><![CDATA[x]]>",
+      "<a><b/><c></a>",
+      "<a><b><c><d>deep</d></c></b></a>",
+      "<a><b/><c>&amp;&lt;&#65;&#x42;</c><d y='&quot;'/></a>",
+      "<a><b/>",
   };
   for (const char* input : inputs) {
-    ExpectChunkingInvariant(input, /*entity_cap=*/0, input);
+    for (size_t cap : {0u, 2u}) {
+      ExpectCountModeAgrees(input, cap, input);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(XmlChunkDifferentialTest, CountModeStructuralTokensAcrossBoundaries) {
+  for (const char* input : kStructuralInputs) {
+    ExpectCountModeAgrees(input, /*entity_cap=*/0, input);
     if (::testing::Test::HasFailure()) return;
   }
 }

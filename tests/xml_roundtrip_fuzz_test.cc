@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "test_util.h"
 #include "workload/doc_generator.h"
 #include "workload/scenarios.h"
 #include "xml/parser.h"
@@ -176,62 +177,73 @@ void ExpectTokenizersAgree(std::string_view xml,
       << "\nlegacy: " << EventStreamToString(legacy.events.events());
 }
 
+// Hand-picked desynchronization attempts: structural characters in
+// contexts where they are not structural, tokens that look almost
+// closed, and malformed tails.
+const char* const kHostileInputs[] = {
+    "<a><![CDATA[< not a tag <b> ]]&gt; ]]></a>",
+    "<a><![CDATA[]]]></a>",
+    "<a><![CDATA[]] ]]></a>",
+    "<a><![CDATA[]]></a>",
+    "<a><!-- quotes ' \" and <tags> and -- dashes --><b/></a>",
+    "<a><!--></a>--><b/></a>",
+    "<a><!---></a>",
+    "<a b=\"x>y\" c='<d>'/>",
+    "<a b=\"ends here>\"><c/></a>",
+    "<a>&#955;&#x3BB;&amp;</a>",
+    "<a>&#955</a>",
+    "<a>&unknown;</a>",
+    "<a>& lone</a>",
+    "<a>text ]]> more</a>",
+    "<?pi with <angle> brackets ?><a/>",
+    "<a",
+    "<a><b></a></b>",
+    "<a/><b/>",
+    "text outside",
+    "<a>\n\nline\ncounting\n<b\n/></a>",
+    "<!DOCTYPE a><a/>",
+    "<a><![CDATA[",
+    "<a><!-- unterminated",
+    "",
+    // Structural byte followed by its XOR-1 neighbor ('\"#', '<=',
+    // '>?') — falsely flagged as structural by a borrow-based SWAR
+    // matcher, which then corrupts every later tape offset.
+    "<a href=\"#x\">t<b>text more</b></a>",
+    "<a><!-- if x <= y or z >? --><b/></a>",
+    "<a><![CDATA[\"#f\" a<=b c>?d]]>#</a>",
+};
+
+/// The whole-buffer cut plus every width-1/2/3 chunking of `input`.
+std::vector<std::vector<size_t>> SmallChunkings(std::string_view input) {
+  const size_t n = input.size();
+  std::vector<std::vector<size_t>> chunkings = {{n}};
+  for (size_t width : {1u, 2u, 3u}) {
+    std::vector<size_t> cuts;
+    for (size_t pos = width; pos < n + width; pos += width) {
+      cuts.push_back(pos);
+    }
+    chunkings.push_back(std::move(cuts));
+  }
+  return chunkings;
+}
+
 TEST(XmlTokenizerDifferentialTest, HostileInputs) {
-  // Hand-picked desynchronization attempts: structural characters in
-  // contexts where they are not structural, tokens that look almost
-  // closed, and malformed tails.
-  const char* inputs[] = {
-      "<a><![CDATA[< not a tag <b> ]]&gt; ]]></a>",
-      "<a><![CDATA[]]]></a>",
-      "<a><![CDATA[]] ]]></a>",
-      "<a><![CDATA[]]></a>",
-      "<a><!-- quotes ' \" and <tags> and -- dashes --><b/></a>",
-      "<a><!--></a>--><b/></a>",
-      "<a><!---></a>",
-      "<a b=\"x>y\" c='<d>'/>",
-      "<a b=\"ends here>\"><c/></a>",
-      "<a>&#955;&#x3BB;&amp;</a>",
-      "<a>&#955</a>",
-      "<a>&unknown;</a>",
-      "<a>& lone</a>",
-      "<a>text ]]> more</a>",
-      "<?pi with <angle> brackets ?><a/>",
-      "<a",
-      "<a><b></a></b>",
-      "<a/><b/>",
-      "text outside",
-      "<a>\n\nline\ncounting\n<b\n/></a>",
-      "<!DOCTYPE a><a/>",
-      "<a><![CDATA[",
-      "<a><!-- unterminated",
-      "",
-      // Structural byte followed by its XOR-1 neighbor ('\"#', '<=',
-      // '>?') — falsely flagged as structural by a borrow-based SWAR
-      // matcher, which then corrupts every later tape offset.
-      "<a href=\"#x\">t<b>text more</b></a>",
-      "<a><!-- if x <= y or z >? --><b/></a>",
-      "<a><![CDATA[\"#f\" a<=b c>?d]]>#</a>",
-  };
-  for (const char* input : inputs) {
-    const size_t n = std::string_view(input).size();
-    // Whole-buffer plus every tiny fixed chunking.
-    ExpectTokenizersAgree(input, {n});
-    for (size_t width : {1u, 2u, 3u}) {
-      std::vector<size_t> cuts;
-      for (size_t pos = width; pos < n + width; pos += width) {
-        cuts.push_back(pos);
-      }
+  for (const char* input : kHostileInputs) {
+    for (const std::vector<size_t>& cuts : SmallChunkings(input)) {
       ExpectTokenizersAgree(input, cuts);
     }
     if (::testing::Test::HasFailure()) return;
   }
 }
 
+// Multi-byte character references, split at every possible boundary.
+constexpr std::string_view kCharrefDocument =
+    "<a>&#955;&#x1F600;&amp;&quot;</a>";
+
 TEST(XmlTokenizerDifferentialTest, SplitCharrefsAndEntityCaps) {
-  // Multi-byte character references split at every possible boundary,
-  // with a cap low enough to trip mid-document — the failure line and
+  // A cap low enough to trip mid-document — the failure line and
   // message must match between tokenizers.
-  const std::string xml = "<a>&#955;&#x1F600;&amp;&quot;</a>";
+  const std::string xml(kCharrefDocument);
   for (size_t cut = 1; cut < xml.size(); ++cut) {
     for (size_t cap : {0u, 1u, 3u, 100u}) {
       ExpectTokenizersAgree(xml, {cut, xml.size()}, cap);
@@ -264,6 +276,87 @@ TEST(XmlTokenizerDifferentialTest, RandomDocumentsRandomChunks) {
     mutated[rng.Uniform(mutated.size())] =
         hostile[rng.Uniform(sizeof hostile)];
     ExpectTokenizersAgree(mutated, cuts);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// --- count mode --------------------------------------------------------
+//
+// Each input again at the same chunking, switched to count mode at every
+// event ordinal, on both tokenizers: the emitted prefix, the status and
+// the measured profile must equal the full parse's (test_util.h).
+
+/// `xml` split at `cuts` exactly as ParseWithTokenizer splits it.
+std::vector<std::string_view> CutChunks(std::string_view xml,
+                                        const std::vector<size_t>& cuts) {
+  std::vector<std::string_view> chunks;
+  size_t pos = 0;
+  for (size_t cut : cuts) {
+    if (pos >= xml.size()) break;
+    const size_t end = std::min(cut, xml.size());
+    if (end <= pos) continue;
+    chunks.push_back(xml.substr(pos, end - pos));
+    pos = end;
+  }
+  if (pos < xml.size()) chunks.push_back(xml.substr(pos));
+  return chunks;
+}
+
+void ExpectCountModeAgrees(std::string_view xml,
+                           const std::vector<size_t>& cuts,
+                           size_t entity_cap = 0) {
+  for (bool legacy : {false, true}) {
+    testutil::ParseSetup setup;
+    setup.legacy_tokenizer = legacy;
+    setup.entity_cap = entity_cap;
+    EXPECT_EQ(testutil::CountModeDisagreement(CutChunks(xml, cuts), setup),
+              "")
+        << "legacy=" << legacy << " cap=" << entity_cap << " input: " << xml;
+  }
+}
+
+TEST(XmlTokenizerDifferentialTest, CountModeHostileInputs) {
+  for (const char* input : kHostileInputs) {
+    for (const std::vector<size_t>& cuts : SmallChunkings(input)) {
+      ExpectCountModeAgrees(input, cuts);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(XmlTokenizerDifferentialTest, CountModeSplitCharrefsAndEntityCaps) {
+  for (size_t cut = 1; cut < kCharrefDocument.size(); ++cut) {
+    for (size_t cap : {0u, 1u, 3u, 100u}) {
+      ExpectCountModeAgrees(kCharrefDocument, {cut, kCharrefDocument.size()},
+                            cap);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(XmlTokenizerDifferentialTest, CountModeRandomDocumentsRandomChunks) {
+  // The documents, cuts and mutations of RandomDocumentsRandomChunks.
+  Random rng(24680);
+  DocGenOptions opts;
+  opts.max_depth = 5;
+  opts.text_prob = 0.6;
+  opts.attr_prob = 0.4;
+  for (int i = 0; i < 60; ++i) {
+    auto doc = GenerateRandomDocument(&rng, opts);
+    auto xml = DocumentToXml(*doc);
+    ASSERT_TRUE(xml.ok());
+    std::vector<size_t> cuts;
+    size_t pos = 0;
+    while (pos < xml->size()) {
+      pos += 1 + rng.Uniform(13);
+      cuts.push_back(pos);
+    }
+    ExpectCountModeAgrees(*xml, cuts);
+    std::string mutated = *xml;
+    const char hostile[] = {'<', '>', '&', '"', '\'', '-', ']', '\n'};
+    mutated[rng.Uniform(mutated.size())] =
+        hostile[rng.Uniform(sizeof hostile)];
+    ExpectCountModeAgrees(mutated, cuts);
     if (::testing::Test::HasFailure()) return;
   }
 }
