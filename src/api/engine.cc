@@ -701,6 +701,11 @@ Status Engine::OnEvent(const Event& event) {
         // everything the matcher decided at this event flushes before
         // the next one.
         if (result_sink_ != nullptr) FlushPendingMatches();
+      } else if (parser_ == nullptr) {
+        // Past the cut on event input only this interns the tail's
+        // names, which the profile's distinct_names counts. (The parser
+        // interns them on bytes.)
+        ResolveEventName(event, symbols_.get());
       }
       ++event_ordinal_;
       // Decided means matched, per eval slot: tombstoned slots never

@@ -21,6 +21,7 @@ Result<std::unique_ptr<FrontierFilter>> FrontierFilter::Create(
   for (const QueryNode* node : query->AllNodes()) {
     if (node->is_root()) continue;
     NodeInfo& info = filter->nodes_[node->id()];
+    info.descendant = node->axis() == Axis::kDescendant;
     if (node->is_wildcard()) {
       info.wild = true;
     } else {
@@ -115,6 +116,7 @@ Status FrontierFilter::SetLiteralPseudocodeMode(bool literal) {
 
 Status FrontierFilter::Reset() {
   frontier_.clear();
+  descendants_.clear();
   captures_.clear();
   buffer_.clear();
   current_level_ = 0;
@@ -153,7 +155,7 @@ Status FrontierFilter::EnableOutputCollection() {
   if (chain_.empty()) {
     return Status::Unsupported("query has no output step");
   }
-  chain_set_ = std::set<const QueryNode*>(chain_.begin(), chain_.end());
+  for (const QueryNode* n : chain_) nodes_[n->id()].on_chain = true;
   aggregated_m_.assign(query_->size(), -1);
   collecting_ = true;
   return Status::OK();
@@ -185,6 +187,7 @@ Status FrontierFilter::InsertRecord(const QueryNode* node, size_t level,
   if (!frontier_.empty() && frontier_.back().level > level) {
     return Status::Internal("frontier table out of level order");
   }
+  if (nodes_[node->id()].descendant) descendants_.push_back(frontier_.size());
   frontier_.push_back(Record{node, level, matched, 0});
   return Status::OK();
 }
@@ -297,12 +300,10 @@ bool FrontierFilter::SkipEvent(EventType type) {
 }
 
 bool FrontierFilter::HasOpenDescendant() const {
-  const MemberMask live = live_;
-  return std::any_of(
-      frontier_.begin(), frontier_.end(), [live](const Record& r) {
-        return (r.matched & live) != live && !r.node->is_root() &&
-               r.node->axis() == Axis::kDescendant;
-      });
+  return std::any_of(descendants_.begin(), descendants_.end(),
+                     [this](size_t i) {
+                       return (frontier_[i].matched & live_) != live_;
+                     });
 }
 
 FrontierFilter::MemberMask FrontierFilter::SuspendedMatched(
@@ -352,10 +353,10 @@ void FrontierFilter::PropagateCommit(const QueryNode* node, size_t level,
     // The contexts the aggregation at the candidate's close will set:
     // records anchored strictly above it, which the level order puts
     // before the first record at `level`. Recursion adds no records, so
-    // the reference stays valid.
-    for (size_t i = 0; i < frontier_.size() && frontier_[i].level < level;
-         ++i) {
+    // the reference and the index stay valid.
+    for (size_t i : descendants_) {
       Record& r = frontier_[i];
+      if (r.level >= level) break;
       if (r.node != parent) continue;
       const MemberMask fresh = members & ~(r.matched | r.committed);
       if (fresh == 0) continue;
@@ -383,28 +384,21 @@ Status FrontierFilter::HandleStartDocument() {
 }
 
 Status FrontierFilter::HandleStartElement(Symbol name_sym) {
-  // Select candidate records (Fig. 20 startElement lines 1–4): those
-  // still unmatched for some live member. In output-collection mode,
-  // already-matched succession-chain nodes are still re-expanded: every
-  // chain element needs its own m verdict, not just the first matching
-  // sibling's.
+  // Select candidate records (Fig. 20 startElement lines 1–4) in table
+  // order (implementation note 7): the descendant-axis records shallower
+  // than current_level_, then the trailing run at current_level_.
+  const size_t run = LevelBegin(current_level_);
   std::vector<size_t>& candidates = scratch_candidates_;
   candidates.clear();
-  for (size_t i = 0; i < frontier_.size(); ++i) {
-    const Record& r = frontier_[i];
-    if (r.node->is_root()) continue;
-    if ((r.matched & live_) == live_ &&
-        !(collecting_ && chain_set_.count(r.node) != 0)) {
-      continue;
-    }
-    if (r.node->axis() == Axis::kAttribute) continue;
-    if (!NamePasses(r.node, name_sym)) continue;
-    if (r.node->axis() == Axis::kChild && r.level != current_level_) continue;
-    candidates.push_back(i);
+  for (size_t i : descendants_) {
+    if (i >= run) break;
+    if (IsCandidate(frontier_[i], name_sym)) candidates.push_back(i);
+  }
+  for (size_t i = run; i < frontier_.size(); ++i) {
+    if (IsCandidate(frontier_[i], name_sym)) candidates.push_back(i);
   }
 
-  std::vector<std::pair<const QueryNode*, size_t>>& to_delete =
-      scratch_delete_;
+  std::vector<size_t>& to_delete = scratch_delete_;
   to_delete.clear();
   for (size_t idx : candidates) {
     // Copy: frontier_ may grow below and invalidate references.
@@ -418,7 +412,7 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
       // frontier until their element closes (lines 10–11), remembering
       // the members they already matched for across the reinsertion.
       if (record.node->axis() == Axis::kChild) {
-        to_delete.emplace_back(record.node, record.level);
+        to_delete.push_back(idx);
         SuspendMatched(record.node, record.level, record.matched);
       }
       for (const auto& child : record.node->children()) {
@@ -426,9 +420,14 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
       }
     }
   }
-  for (const auto& [node, level] : to_delete) {
-    const Record* r = FindRecord(node, level);
-    frontier_.erase(frontier_.begin() + (r - frontier_.data()));
+  // Appends leave indices in place. Erasing from the back keeps the
+  // lower ones valid, and each erase moves the indexed records after it.
+  for (auto it = to_delete.rbegin(); it != to_delete.rend(); ++it) {
+    frontier_.erase(frontier_.begin() + static_cast<ptrdiff_t>(*it));
+    for (auto d = descendants_.rbegin();
+         d != descendants_.rend() && *d > *it; ++d) {
+      --*d;
+    }
   }
   // Earliest commitment (implementation note 5): a leaf whose truth set
   // is universal is decided by its element's start. Its capture stays
@@ -479,13 +478,14 @@ Status FrontierFilter::HandleStartElement(Symbol name_sym) {
 Status FrontierFilter::HandleAttribute(Symbol name_sym,
                                        std::string_view value) {
   // Attributes are leaf children of the current element; they arrive at
-  // the level element children would occupy. Internal attribute-axis
-  // query nodes can never match (attributes have no children).
-  for (Record& r : frontier_) {
+  // the level element children would occupy, the table's trailing run.
+  // Internal attribute-axis query nodes can never match (attributes have
+  // no children).
+  for (size_t i = LevelBegin(current_level_); i < frontier_.size(); ++i) {
+    Record& r = frontier_[i];
     const MemberMask open = live_ & ~r.matched;
     if (open == 0 || r.node->is_root()) continue;
     if (r.node->axis() != Axis::kAttribute) continue;
-    if (r.level != current_level_) continue;
     if (!NamePasses(r.node, name_sym)) continue;
     if (!r.node->IsLeaf()) continue;
     const MemberMask hits = TestValue(r.node, open, value);
@@ -611,6 +611,9 @@ Status FrontierFilter::AggregateChildren() {
   // descendant-axis parent at current_level_ or shallower, and a
   // child-axis parent is reinserted at current_level_.
   frontier_.resize(children);
+  while (!descendants_.empty() && descendants_.back() >= children) {
+    descendants_.pop_back();
+  }
 
   for (const auto& [parent, m] : parents) {
     if (collecting_) aggregated_m_[parent->id()] = (m & 1) != 0 ? 1 : 0;
@@ -628,7 +631,8 @@ Status FrontierFilter::AggregateChildren() {
       // left, all at level <= current_level_. The deleted records at
       // current_level_+1 were created by this very element and must
       // not be set (their candidates are strict descendants of it).
-      for (Record& r : frontier_) {
+      for (size_t i : descendants_) {
+        Record& r = frontier_[i];
         if (r.node == parent) r.matched = literal_mode_ ? m : (r.matched | m);
       }
     } else {

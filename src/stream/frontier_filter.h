@@ -19,7 +19,7 @@
 /// buffered characters (Thm 8.8), and FS(Q) tuples for path
 /// consistency-free closure-free queries.
 ///
-/// Six implementation notes. The first three are deliberate
+/// Seven implementation notes. The first three are deliberate
 /// deviations from the literal pseudo-code, each a correctness fix
 /// validated by differential testing against the ground truth
 /// evaluator (see DESIGN.md §5):
@@ -76,12 +76,24 @@
 /// record. Output collection and literal pseudo-code mode run on
 /// one-member walks only.
 ///
+/// The seventh is an index of the candidate scan. At a start tag the
+/// table's deepest level is the current one (the last end tag truncated
+/// everything deeper), so a candidate is either a child-axis record in
+/// the table's trailing run at that level or a descendant-axis record.
+/// The filter keeps the ascending table indices of its descendant-axis
+/// records, updated wherever the table changes, and a start tag visits
+/// the indexed records before the run, then the run: the candidates, in
+/// the table order a full scan finds them in, so every record is
+/// appended and every trace reads as before. Attribute records sit in
+/// the run too. The index is derived from the table and holds at most
+/// one entry per record, so the Thm 8.8 bound's order stands; no gauge
+/// counts it.
+///
 /// Supported fragment (paper §8): univariate conjunctive
 /// leaf-only-value-restricted Forward XPath; checked at construction.
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -231,6 +243,20 @@ class FrontierFilter : public StreamFilter {
     return info.wild || info.sym == name_sym;
   }
 
+  /// Fig. 20 startElement lines 1–4 for one record the index leaves to
+  /// visit (implementation note 7), whose level already agrees with its
+  /// axis: a non-root, non-attribute record whose node test passes and
+  /// that is still unmatched for some live member. In output-collection
+  /// mode, already-matched succession-chain nodes are still candidates:
+  /// every chain element needs its own m verdict, not just the first
+  /// matching sibling's.
+  bool IsCandidate(const Record& r, Symbol name_sym) const {
+    if (r.node->is_root() || r.node->axis() == Axis::kAttribute) return false;
+    const NodeInfo& info = nodes_[r.node->id()];
+    if ((r.matched & live_) == live_ && !info.on_chain) return false;
+    return info.wild || info.sym == name_sym;
+  }
+
   Status HandleStartDocument();
   Status HandleStartElement(Symbol name_sym);
   Status HandleAttribute(Symbol name_sym, std::string_view value);
@@ -278,8 +304,9 @@ class FrontierFilter : public StreamFilter {
   /// slowed the full walk on the deep-recursion corpus.
   bool SkipEvent(EventType type);
 
-  /// True while some descendant-axis record is unmatched: the only
-  /// records whose candidates can lie anywhere below the current level.
+  /// True while some descendant-axis record is unmatched for a live
+  /// member: the only records whose candidates can lie anywhere below
+  /// the current level.
   bool HasOpenDescendant() const;
 
   /// True while an OUT(Q) candidate's string value is being captured.
@@ -289,8 +316,10 @@ class FrontierFilter : public StreamFilter {
   /// What the event path reads of one query node, resolved once at
   /// creation.
   struct NodeInfo {
-    Symbol sym = kNoSymbol;  ///< the node test's interned symbol
-    bool wild = false;       ///< wildcard node test
+    Symbol sym = kNoSymbol;   ///< the node test's interned symbol
+    bool wild = false;        ///< wildcard node test
+    bool descendant = false;  ///< a descendant-axis step
+    bool on_chain = false;    ///< a chain_ step while collecting outputs
     /// The members for which this node is a leaf with a universal
     /// truth set: decided by its element's start.
     MemberMask universal_leaf = 0;
@@ -311,6 +340,9 @@ class FrontierFilter : public StreamFilter {
   /// deeper, and InsertRecord guards the order. It is the per-level
   /// stack of YFilter's runtime (Diao et al., TODS 2003), flattened.
   std::vector<Record> frontier_;
+  /// The ascending indices into frontier_ of its descendant-axis
+  /// records (implementation note 7).
+  std::vector<size_t> descendants_;
   std::vector<Capture> captures_;
   std::string buffer_;
   size_t current_level_ = 0;
@@ -343,7 +375,6 @@ class FrontierFilter : public StreamFilter {
 
   bool collecting_ = false;
   std::vector<const QueryNode*> chain_;  ///< root successors to OUT(Q)
-  std::set<const QueryNode*> chain_set_;
   /// A child-axis record suspended during candidate expansion, with
   /// the members whose matched bit must be set (OR-merged) at
   /// reinsertion: those it was matched for, or committed by the
@@ -368,7 +399,7 @@ class FrontierFilter : public StreamFilter {
   // Scratch for the per-event handlers: cleared per use, capacity kept
   // across events and documents — the allocation-free hot path.
   std::vector<size_t> scratch_candidates_;
-  std::vector<std::pair<const QueryNode*, size_t>> scratch_delete_;
+  std::vector<size_t> scratch_delete_;
   std::vector<std::pair<const QueryNode*, MemberMask>> scratch_parents_;
 };
 

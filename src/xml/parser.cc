@@ -107,7 +107,7 @@ Status XmlParser::FeedSlice(std::string_view chunk) {
     XPS_RETURN_IF_ERROR(Drain(/*at_eof=*/false));
     if (pos_ < window_size_) {
       buf_.assign(window_ + pos_, window_size_ - pos_);
-      index_.Rebase(pos_);
+      index_.Rebase(pos_, tape_pos_);
       scanned_ = buf_.size();
     } else {
       index_.Clear();
@@ -134,7 +134,7 @@ Status XmlParser::FeedSlice(std::string_view chunk) {
   // token; the tape shifts with it.
   if (pos_ > 0) {
     buf_.erase(0, pos_);
-    index_.Rebase(pos_);
+    index_.Rebase(pos_, tape_pos_);
     scanned_ = buf_.size();
     tape_pos_ = 0;
     pos_ = 0;

@@ -9,8 +9,8 @@
 /// document size.
 ///
 /// Parsing is a two-stage pipeline: a StructuralIndex pre-scan sweeps
-/// each chunk once and records every `<`, `>`, `&`, quote and newline on
-/// a compact tape, then the tokenizer walks the tape — token boundaries,
+/// each chunk once and records every `<`, `>`, `&` and newline on a
+/// compact tape, then the tokenizer walks the tape — token boundaries,
 /// line numbers and the needs-entity-decoding decision all come from
 /// tape entries, never from re-inspecting document bytes. Events carry
 /// `string_view`s instead of owned strings; the backing storage is

@@ -1,41 +1,21 @@
 #include "xml/structural_index.h"
 
-#include <algorithm>
-#include <cstring>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace xpstream {
 
 namespace {
 
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-// SWAR "has byte == c" over one 64-bit word: the exact zero-lane
-// detector ~(((x & 0x7f..7f) + 0x7f..7f) | x | 0x7f..7f) applied to
-// x ^ c. The high bit of each matching lane is set.
-//
-// Deliberately NOT the classic (x - 0x01..01) & ~x & 0x80..80 form:
-// its subtraction borrows across lanes, so the byte after a match is
-// falsely flagged whenever it equals c ^ 0x01 ('#' after '"', '=' after
-// '<', '?' after '>'). Here each lane's sum is at most 0x7f + 0x7f, so
-// no carry ever leaves a lane and only true matches are reported.
-constexpr uint64_t kOnes = 0x0101010101010101ULL;
-constexpr uint64_t kLows = 0x7f7f7f7f7f7f7f7fULL;
-
-inline uint64_t MatchByte(uint64_t word, char c) {
-  uint64_t x = word ^ (kOnes * static_cast<uint8_t>(c));
-  return ~(((x & kLows) + kLows) | x | kLows);
-}
-#endif
-
-// Byte -> StructuralKind + 1, 0 for uninteresting bytes. Used to
-// classify the bytes a SWAR word flagged (and the scalar tail).
+// Byte -> StructuralKind + 1, 0 for uninteresting bytes. Classifies the
+// bytes a vector step flagged, and the scalar loop's.
 struct ClassTable {
   uint8_t v[256] = {};
   constexpr ClassTable() {
     v[static_cast<uint8_t>('<')] = kStructLt + 1;
     v[static_cast<uint8_t>('>')] = kStructGt + 1;
     v[static_cast<uint8_t>('&')] = kStructAmp + 1;
-    v[static_cast<uint8_t>('"')] = kStructQuot + 1;
-    v[static_cast<uint8_t>('\'')] = kStructApos + 1;
     v[static_cast<uint8_t>('\n')] = kStructNl + 1;
   }
 };
@@ -49,48 +29,43 @@ void StructuralIndex::Scan(const char* data, size_t begin, size_t end) {
   // front keeps short-lived tapes (one small document per parser) from
   // paying a realloc chain of push_back growth.
   tape_.reserve(tape_.size() + (end - begin) / 4 + 16);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  // Word loop: one load + six SWAR matches per 8 bytes; words with no
-  // structural byte cost nothing further.
-  while (i + 8 <= end) {
-    uint64_t word;
-    std::memcpy(&word, data + i, 8);
-    uint64_t hits = MatchByte(word, '<') | MatchByte(word, '>') |
-                    MatchByte(word, '&') | MatchByte(word, '"') |
-                    MatchByte(word, '\'') | MatchByte(word, '\n');
-    while (hits != 0) {
-      // Little-endian: lowest set lane = earliest byte in the word.
-      size_t lane = static_cast<size_t>(__builtin_ctzll(hits)) >> 3;
-      size_t off = i + lane;
-      hits &= hits - 1;  // clear that lane's high bit
-      uint32_t cls = kClass.v[static_cast<uint8_t>(data[off])];
-      // Same guard as the scalar loop: a lane the matcher flagged but
-      // the table calls non-structural must never reach the tape (an
-      // unguarded cls - 1 would underflow into a bogus huge offset).
-      if (cls == 0) continue;
-      tape_.push_back(static_cast<uint32_t>(off << 3) | (cls - 1));
+#if defined(__SSE2__)
+  // Vector loop: one 16-byte load and four exact byte compares per
+  // step, ORed and packed into one bit per byte; blocks with no
+  // structural byte cost nothing further. It never reads past `end`.
+  const __m128i lt = _mm_set1_epi8('<');
+  const __m128i gt = _mm_set1_epi8('>');
+  const __m128i amp = _mm_set1_epi8('&');
+  const __m128i nl = _mm_set1_epi8('\n');
+  for (; i + 16 <= end; i += 16) {
+    const __m128i block =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    const __m128i hits =
+        _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(block, lt),
+                                  _mm_cmpeq_epi8(block, gt)),
+                     _mm_or_si128(_mm_cmpeq_epi8(block, amp),
+                                  _mm_cmpeq_epi8(block, nl)));
+    for (uint32_t mask = static_cast<uint32_t>(_mm_movemask_epi8(hits));
+         mask != 0; mask &= mask - 1) {
+      const size_t off = i + static_cast<size_t>(__builtin_ctz(mask));
+      tape_.push_back(static_cast<uint32_t>(off << 3) |
+                      (kClass.v[static_cast<uint8_t>(data[off])] - 1u));
     }
-    i += 8;
   }
-#endif  // little-endian SWAR; the scalar loop below covers the tail
-        // (and whole windows on other byte orders).
+#endif  // SSE2; the scalar loop below covers the tail (and whole
+        // ranges on targets without SSE2).
   for (; i < end; ++i) {
-    uint8_t cls = kClass.v[static_cast<uint8_t>(data[i])];
+    const uint8_t cls = kClass.v[static_cast<uint8_t>(data[i])];
     if (cls != 0) {
-      tape_.push_back(static_cast<uint32_t>(i << 3) | (cls - 1));
+      tape_.push_back(static_cast<uint32_t>(i << 3) | (cls - 1u));
     }
   }
 }
 
-void StructuralIndex::Rebase(size_t cut) {
-  if (cut == 0) return;
+void StructuralIndex::Rebase(size_t cut, size_t cursor) {
   const uint32_t packed_cut = static_cast<uint32_t>(cut << 3);
-  size_t keep_from = 0;
-  while (keep_from < tape_.size() && OffsetOf(tape_[keep_from]) < cut) {
-    ++keep_from;
-  }
   size_t out = 0;
-  for (size_t i = keep_from; i < tape_.size(); ++i) {
+  for (size_t i = cursor; i < tape_.size(); ++i) {
     tape_[out++] = tape_[i] - packed_cut;
   }
   tape_.resize(out);

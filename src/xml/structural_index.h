@@ -3,17 +3,22 @@
 
 /// \file
 /// The parse pipeline's first stage: a simdjson-style structural
-/// pre-scan. One SWAR sweep over each input chunk finds every byte the
-/// tokenizer could care about — `<`, `>`, `&`, `"`, `'` and newline —
-/// and records them on a compact tape of (offset, kind) entries. The
-/// second stage (xml/parser.cc's tokenizer) then walks the tape to find
-/// token boundaries, count lines, and decide whether a text run needs
-/// entity decoding, without ever re-inspecting document bytes.
+/// pre-scan (Langdale & Lemire, VLDB J. 2019). One sweep over each input
+/// chunk finds every byte the tokenizer reads — `<`, `>`, `&` and
+/// newline — and records them on a compact tape of (offset, kind)
+/// entries. The sweep takes 16 bytes per step with SSE2 (part of the
+/// x86-64 baseline): four exact byte compares, ORed and packed into one
+/// bit per byte. A scalar loop takes the tail, and whole ranges on
+/// targets without SSE2. The second stage (xml/parser.cc's tokenizer)
+/// then walks the tape to find token boundaries, count lines, and decide
+/// whether a text run needs entity decoding, without ever re-inspecting
+/// document bytes.
 ///
 /// Entries are `uint32_t`s packing `offset << 3 | kind`; offsets are
 /// relative to the current parse window, and `Rebase()` keeps them valid
-/// when the parser compacts its spill buffer. One window is limited to
-/// 512 MiB (kMaxWindowBytes); the parser splits larger feeds.
+/// when the parser compacts its spill buffer, in time proportional to
+/// the entries it keeps. One window is limited to 512 MiB
+/// (kMaxWindowBytes); the parser splits larger feeds.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,12 +29,10 @@ namespace xpstream {
 
 /// Byte classes recorded on the tape, in the entry's low 3 bits.
 enum StructuralKind : uint32_t {
-  kStructLt = 0,     // '<'
-  kStructGt = 1,     // '>'
-  kStructAmp = 2,    // '&'
-  kStructQuot = 3,   // '"'
-  kStructApos = 4,   // '\''
-  kStructNl = 5,     // '\n'
+  kStructLt = 0,   // '<'
+  kStructGt = 1,   // '>'
+  kStructAmp = 2,  // '&'
+  kStructNl = 3,   // '\n'
 };
 
 class StructuralIndex {
@@ -50,7 +53,9 @@ class StructuralIndex {
 
   /// Drops entries below `cut` and shifts the rest down by `cut`,
   /// mirroring the parser erasing a consumed prefix of its window.
-  void Rebase(size_t cut);
+  /// `cursor` is the index of the first entry at or past `cut` (the
+  /// tokenizer's tape cursor), so only the entries kept are visited.
+  void Rebase(size_t cut, size_t cursor);
 
   void Clear() { tape_.clear(); }
 

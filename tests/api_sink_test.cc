@@ -292,11 +292,9 @@ TEST(ApiSinkTest, ShortCircuitMatchesFullScan) {
           EXPECT_EQ(sink.documents, reference.documents) << label;
           EXPECT_EQ((*engine)->history(), reference_history) << label;
           EXPECT_EQ(positions, reference_positions) << label;
-          if (entry != kEvents) {
-            EXPECT_EQ(ProfileFields((*engine)->observed_profile()),
-                      reference_profile)
-                << label;
-          }
+          EXPECT_EQ(ProfileFields((*engine)->observed_profile()),
+                    reference_profile)
+              << label;
           // Gauges stop at each slot's commitment. The stack engines
           // peak in the deeper tail, so only the holdout reaches it.
           EXPECT_LE((*engine)->peak_table_entries(), reference_peak) << label;

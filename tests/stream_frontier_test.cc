@@ -225,6 +225,52 @@ TEST(FrontierFilterTest, ForwardedMessageTrace) {
             expected);
 }
 
+TEST(FrontierFilterTest, CandidateOrderAcrossLevels) {
+  // At the middle envelope's start tag two records expand: the
+  // descendant-axis msg record at level 1 and the child-axis msg record
+  // at level 3, the current level. A full scan meets them in that table
+  // order, so msg and body (level 4) are appended before header; the
+  // indexed candidate scan must visit them in the same order.
+  Runner r = Make("//msg[msg/header and body]");
+  const std::vector<std::string> expected = {
+      "<$> level=1 frontier=[(0,$,0) (1,msg,0)]",
+      "<feed> level=2 frontier=[(0,$,0) (1,msg,0)]",
+      "<msg> level=3 frontier=[(0,$,0) (1,msg,0) (3,msg,0) (3,body,0)]",
+      "<header> level=4 frontier=[(0,$,0) (1,msg,0) (3,msg,0) (3,body,0)]",
+      "</header> level=3 frontier=[(0,$,0) (1,msg,0) (3,msg,0) (3,body,0)]",
+      "<msg> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,msg,0) "
+      "(4,body,0) (4,header,0)]",
+      "<header> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,msg,0) "
+      "(4,body,0) (4,header,0)]",
+      "</header> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,msg,0) "
+      "(4,body,0) (4,header,1)]",
+      "<msg> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (5,msg,0) (5,body,0) (5,header,0)]",
+      "<header> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (5,msg,0) (5,body,0) (5,header,0)]",
+      "</header> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (5,msg,0) (5,body,0) (5,header,1)]",
+      "<body> level=6 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (5,msg,0) (5,body,0) (5,header,1)]",
+      "</body> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (5,msg,0) (5,body,1) (5,header,1)]",
+      "</msg> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (4,msg,1)]",
+      "<body> level=5 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,0) "
+      "(4,header,1) (4,msg,1)]",
+      "</body> level=4 frontier=[(0,$,0) (1,msg,0) (3,body,0) (4,body,1) "
+      "(4,header,1) (4,msg,1)]",
+      "</msg> level=3 frontier=[(0,$,0) (1,msg,1) (3,body,0) (3,msg,1)]",
+      "</msg> level=2 frontier=[(0,$,0) (1,msg,1)]",
+      "</feed> level=1 frontier=[(0,$,0) (1,msg,1)]",
+      "</$> level=0 frontier=[(0,$,1)]",
+  };
+  EXPECT_EQ(Trace(&r,
+                  "<feed><msg><header/><msg><header/><msg><header/><body/>"
+                  "</msg><body/></msg></msg></feed>"),
+            expected);
+}
+
 TEST(FrontierFilterTest, UnsupportedQueriesRejected) {
   auto q1 = ParseQuery("/a[b or c]");
   ASSERT_TRUE(q1.ok());
