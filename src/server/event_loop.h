@@ -71,11 +71,19 @@ class EventLoop {
   void RequestStop();
 
   /// Queues `fn` to run on the loop thread (after the fd dispatch of
-  /// the iteration that picks it up) and wakes the loop. Thread-safe;
-  /// callbacks run in post order. This is how pool worker threads hand
-  /// results to the loop thread without touching session state
-  /// themselves. Callbacks posted before Run() returns are executed or
-  /// discarded with the loop — they must not assume they run.
+  /// the iteration that picks it up) and wakes the loop with one byte
+  /// on the pipe. Thread-safe; callbacks run in post order. Callbacks
+  /// posted before Run() returns are executed or discarded with the
+  /// loop — they must not assume they run.
+  ///
+  /// Each call costs a closure and a write(2), so a producer with many
+  /// small results should not post one per result. The pipelined server
+  /// shows the pattern: pool workers append plain records to one
+  /// mailbox under a mutex, and only the record that finds it empty
+  /// posts a drain, so the loop wakes once per transition from empty to
+  /// non-empty and routes the whole batch. Its DOC_DONE routing table
+  /// is rebuilt only when the subscriptions or their owners change (see
+  /// server.cc).
   void Post(std::function<void()> fn);
 
   /// Installs a callback run on the loop thread after each batch of

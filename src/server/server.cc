@@ -5,6 +5,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -67,6 +68,33 @@ uint32_t WireIdOf(const std::string& id) {
   return wire_id;
 }
 
+/// One pool result on its way from a worker to the loop thread. Plain
+/// data: it names its subscription by wire id, never by Session (a
+/// session may die before the loop routes the record).
+struct PoolResult {
+  enum class Kind : uint8_t { kMatch, kDocDone, kDocError };
+  uint64_t doc;
+  /// kMatch: the deciding event's ordinal. kDocDone: the index of the
+  /// document's payload in PoolMailbox::dones.
+  uint64_t arg;
+  uint32_t wire_id;  // kMatch only
+  Kind kind;
+};
+
+/// A DOC_DONE's payload: the subscription order the document was
+/// evaluated under, and its verdicts in that order.
+struct PoolDone {
+  SubscriptionIds ids;
+  std::vector<bool> verdicts;
+};
+
+/// Pool results in arrival order. DOC_DONE payloads sit apart, so the
+/// records of the many MATCHes stay small.
+struct PoolMailbox {
+  std::vector<PoolResult> results;
+  std::vector<PoolDone> dones;
+};
+
 }  // namespace
 
 /// The server core: owns the Engine (or EnginePool), the listener, the
@@ -74,7 +102,7 @@ uint32_t WireIdOf(const std::string& id) {
 /// (SessionHost) and bridges engine/pool results into per-connection
 /// push frames. Everything below runs on the loop thread except
 /// Start/Stop/port — and, in pipelined mode, the PoolBridge callbacks,
-/// which run on pool worker threads and only Post() to the loop.
+/// which run on pool worker threads and only append to its mailbox.
 class Server::Impl : public SessionHost {
  public:
   explicit Impl(ServerOptions options) : options_(std::move(options)) {}
@@ -162,6 +190,7 @@ class Server::Impl : public SessionHost {
     const uint32_t wire_id = next_wire_id_++;
     const DeliveryMode delivery =
         mode == 0 ? DeliveryMode::kAtEnd : DeliveryMode::kEarliest;
+    ++routes_generation_;  // a pool snapshot is replaced, failed or not
     if (pool_ != nullptr) {
       // The pool quiesces in-flight documents internally, so a
       // subscribe under live concurrent traffic is legal and atomic
@@ -172,7 +201,7 @@ class Server::Impl : public SessionHost {
       XPS_RETURN_IF_ERROR(
           engine_->Subscribe(std::to_string(wire_id), query, delivery));
     }
-    owners_[wire_id] = session;
+    SetOwner(wire_id, session);
     return wire_id;
   }
 
@@ -240,6 +269,7 @@ class Server::Impl : public SessionHost {
   }
 
   Status OnCompact(Session*) override {
+    ++routes_generation_;  // a pool snapshot is replaced, failed or not
     return pool_ != nullptr ? pool_->CompactSubscriptions()
                             : engine_->CompactSubscriptions();
   }
@@ -323,7 +353,9 @@ class Server::Impl : public SessionHost {
   struct Bridge : ResultSink {
     explicit Bridge(Impl* impl) : impl(impl) {}
     void OnMatch(size_t slot, size_t doc, size_t ordinal) override {
-      impl->PushMatch(impl->engine_->subscription_ids(), slot, doc, ordinal);
+      const std::vector<std::string>& ids = impl->engine_->subscription_ids();
+      if (slot >= ids.size()) return;  // defensive: ids/executor skew
+      impl->PushMatch(WireIdOf(ids[slot]), doc, ordinal);
     }
     void OnDocumentDone(size_t doc,
                         const std::vector<bool>& verdicts) override {
@@ -333,37 +365,86 @@ class Server::Impl : public SessionHost {
   };
 
   /// PoolSink face of the pipelined server. Callbacks arrive on pool
-  /// worker threads; they capture plain data (wire ids travel as the
-  /// subscription-id snapshot, never Session pointers — a session may
-  /// die between post and drain) and Post() to the loop thread, which
-  /// resolves owners against live state when the callback runs.
+  /// worker threads and append plain records to one mailbox: no
+  /// closure, no snapshot copy per MATCH (its wire id is read from the
+  /// immutable snapshot on the worker) and, once the vectors have grown,
+  /// no allocation. Only the record that finds the mailbox empty posts
+  /// a drain, with one wake byte; later records ride that drain. No
+  /// record is stranded: the drain empties the mailbox under the same
+  /// mutex, so a record lands either before the swap, and the posted
+  /// drain takes it, or after it, and posts the next drain. One worker
+  /// appends all of a document's records in order, so its MATCHes still
+  /// precede its DOC_DONE.
   struct PoolBridge : PoolSink {
     explicit PoolBridge(Impl* impl) : impl(impl) {}
     void OnMatch(uint64_t doc, size_t sub, size_t ordinal,
                  const SubscriptionIds& ids) override {
-      Impl* server = impl;
-      server->loop_->Post([server, doc, sub, ordinal, ids] {
-        server->PushMatch(*ids, sub, doc, ordinal);
-      });
+      if (sub >= ids->size()) return;  // defensive: ids/executor skew
+      Append({doc, ordinal, WireIdOf((*ids)[sub]), PoolResult::Kind::kMatch},
+             nullptr);
     }
     void OnDocumentDone(uint64_t doc, const SubscriptionIds& ids,
                         std::vector<bool> verdicts,
                         std::vector<size_t> /*decided_at*/) override {
-      Impl* server = impl;
-      server->loop_->Post(
-          [server, doc, ids, verdicts = std::move(verdicts)] {
-            server->PushDocDone(*ids, doc, verdicts);
-          });
+      PoolDone done{ids, std::move(verdicts)};
+      Append({doc, 0, 0, PoolResult::Kind::kDocDone}, &done);
     }
-    void OnDocumentError(uint64_t /*doc*/, Status /*status*/) override {
+    void OnDocumentError(uint64_t doc, Status /*status*/) override {
       // The publisher was acked at DOC_END (submission succeeded) and
       // the batch passed full parse validation there, so evaluation
       // errors are unexpected; count them for STATS visibility.
-      Impl* server = impl;
-      server->loop_->Post([server] { ++server->pool_doc_errors_; });
+      Append({doc, 0, 0, PoolResult::Kind::kDocError}, nullptr);
     }
+
+    void Append(PoolResult result, PoolDone* done) {
+      bool first;
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        first = mailbox.results.empty();
+        if (done != nullptr) {
+          result.arg = mailbox.dones.size();
+          mailbox.dones.push_back(std::move(*done));
+        }
+        mailbox.results.push_back(result);
+      }
+      if (first) {
+        Impl* server = impl;
+        server->loop_->Post([server] { server->RoutePoolResults(); });
+      }
+    }
+
     Impl* impl;
+    std::mutex mutex;
+    PoolMailbox mailbox;  // guarded by mutex
   };
+
+  /// Loop thread: takes every record in the pool mailbox and routes
+  /// them in order. The loop's after-posted FlushPushes then sends once
+  /// for the whole batch. Both vectors keep their capacity across the
+  /// swap, so a steady stream of results allocates nothing.
+  void RoutePoolResults() {
+    {
+      std::lock_guard<std::mutex> lock(pool_sink_.mutex);
+      std::swap(pool_sink_.mailbox, drained_);
+    }
+    for (const PoolResult& result : drained_.results) {
+      switch (result.kind) {
+        case PoolResult::Kind::kMatch:
+          PushMatch(result.wire_id, result.doc, result.arg);
+          break;
+        case PoolResult::Kind::kDocDone: {
+          const PoolDone& done = drained_.dones[result.arg];
+          PushDocDone(*done.ids, result.doc, done.verdicts);
+          break;
+        }
+        case PoolResult::Kind::kDocError:
+          ++pool_doc_errors_;
+          break;
+      }
+    }
+    drained_.results.clear();
+    drained_.dones.clear();
+  }
 
   Status OnPoolDocChunk(Session* session, std::string_view bytes) {
     auto it = pending_.find(session);
@@ -530,7 +611,7 @@ class Server::Impl : public SessionHost {
       // engine refuses while a document streams: detach now (stop
       // delivering) and unsubscribe at the document boundary.
       if (!Unsubscribe(wire_id).ok()) {
-        owners_[wire_id] = nullptr;
+        SetOwner(wire_id, nullptr);
         deferred_unsubs_.push_back(wire_id);
       }
     }
@@ -570,49 +651,84 @@ class Server::Impl : public SessionHost {
   /// owners_. Fails, changing nothing, where the executor refuses: the
   /// serial engine does while a document streams.
   Status Unsubscribe(uint32_t wire_id) {
+    ++routes_generation_;  // a pool snapshot is replaced, failed or not
     const std::string id = std::to_string(wire_id);
     XPS_RETURN_IF_ERROR(pool_ != nullptr ? pool_->Unsubscribe(id)
                                          : engine_->Unsubscribe(id));
-    owners_.erase(wire_id);
+    SetOwner(wire_id, nullptr);
     return Status::OK();
   }
 
-  /// Both executors' MATCH route: `sub` indexes `ids`, the subscription
-  /// order the document was evaluated under. A subscription removed
-  /// since then, or detached, has no owner and gets nothing.
-  void PushMatch(const std::vector<std::string>& ids, size_t sub,
-                 uint64_t doc, size_t ordinal) {
-    if (sub >= ids.size()) return;  // defensive: ids/executor skew
-    const uint32_t wire_id = WireIdOf(ids[sub]);
+  /// The one writer of owners_: `owner` becomes `wire_id`'s connection,
+  /// or, when nullptr, the id has none (unsubscribed, or detached
+  /// because its connection closed mid-document). Bumps
+  /// routes_generation_, so done_routes_ never names a dead Session.
+  void SetOwner(uint32_t wire_id, Session* owner) {
+    if (owner != nullptr) {
+      owners_[wire_id] = owner;
+    } else {
+      owners_.erase(wire_id);
+    }
+    ++routes_generation_;
+  }
+
+  /// Both executors' MATCH route. A subscription removed since its
+  /// document was evaluated, or detached, has no owner and gets nothing.
+  void PushMatch(uint32_t wire_id, uint64_t doc, uint64_t ordinal) {
     auto it = owners_.find(wire_id);
-    if (it == owners_.end() || it->second == nullptr) return;
+    if (it == owners_.end()) return;
     if (it->second->PushMatch(wire_id, doc, ordinal)) OweFlush(it->second);
   }
 
-  /// Both executors' DOC_DONE route: groups the document's verdicts by
-  /// owning connection, keeping `ids` order within each group.
+  /// Both executors' DOC_DONE route: `ids` is the subscription order
+  /// the verdicts follow (the serial engine's, or the pool snapshot the
+  /// document was evaluated under). One pass over done_routes_ writes
+  /// each verdict into its owner's encoded entries; the entries keep
+  /// `ids` order within each connection.
   void PushDocDone(const std::vector<std::string>& ids, uint64_t doc,
                    const std::vector<bool>& verdicts) {
-    struct Group {
-      std::string entries;
-      uint32_t count = 0;
-    };
-    std::unordered_map<Session*, Group> groups;
-    const size_t n = std::min(verdicts.size(), ids.size());
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t wire_id = WireIdOf(ids[i]);
-      auto it = owners_.find(wire_id);
-      if (it == owners_.end() || it->second == nullptr) continue;
-      Group& group = groups[it->second];
-      wire::AppendU32(&group.entries, wire_id);
-      wire::AppendU8(&group.entries, verdicts[i] ? 1 : 0);
-      ++group.count;
+    if (&ids != done_routes_ids_ ||
+        routes_generation_ != done_routes_generation_) {
+      RebuildDoneRoutes(ids);
     }
-    for (auto& [session, group] : groups) {
-      if (session->PushDocDone(doc, group.count, group.entries)) {
-        OweFlush(session);
+    const size_t n = std::min(verdicts.size(), ids.size());
+    for (DoneRoute& route : done_routes_) {
+      uint32_t count = 0;
+      for (; count < route.positions.size() && route.positions[count] < n;
+           ++count) {
+        // The verdict byte follows the entry's u32 wire id.
+        route.entries[kDoneEntryBytes * count + 4] =
+            verdicts[route.positions[count]] ? 1 : 0;
+      }
+      if (count == 0) continue;
+      if (route.owner->PushDocDone(
+              doc, count,
+              std::string_view(route.entries.data(),
+                               kDoneEntryBytes * count))) {
+        OweFlush(route.owner);
       }
     }
+  }
+
+  /// Resolves every position of `ids` against owners_, once per change
+  /// of the order or of an owner instead of once per document.
+  void RebuildDoneRoutes(const std::vector<std::string>& ids) {
+    done_routes_.clear();
+    std::unordered_map<Session*, size_t> route_of;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint32_t wire_id = WireIdOf(ids[i]);
+      auto owner = owners_.find(wire_id);
+      if (owner == owners_.end()) continue;
+      const auto [slot, fresh] =
+          route_of.emplace(owner->second, done_routes_.size());
+      if (fresh) done_routes_.push_back(DoneRoute{owner->second, {}, {}});
+      DoneRoute& route = done_routes_[slot->second];
+      route.positions.push_back(static_cast<uint32_t>(i));
+      wire::AppendU32(&route.entries, wire_id);
+      wire::AppendU8(&route.entries, 0);  // the verdict, set per document
+    }
+    done_routes_ids_ = &ids;
+    done_routes_generation_ = routes_generation_;
   }
 
   /// Notes that `session` got its first unsent push of the current
@@ -668,9 +784,36 @@ class Server::Impl : public SessionHost {
   std::vector<int> flush_fds_;
   PushCounters push_counters_;
   /// Wire id -> owning connection, for every subscription the
-  /// executor holds. nullptr: the connection closed mid-document and
-  /// the id waits in deferred_unsubs_ (no delivery meanwhile).
+  /// executor holds and delivers to. An id detached because its
+  /// connection closed mid-document is absent, and waits in
+  /// deferred_unsubs_. Written only by SetOwner.
   std::unordered_map<uint32_t, Session*> owners_;
+  /// One DOC_DONE entry is a u32 wire id and a u8 verdict.
+  static constexpr size_t kDoneEntryBytes = 5;
+  /// One connection's share of a DOC_DONE: the positions of its
+  /// subscriptions in the routed order, ascending, and their encoded
+  /// entries, whose verdict bytes PushDocDone writes per document.
+  struct DoneRoute {
+    Session* owner;
+    std::vector<uint32_t> positions;
+    std::string entries;
+  };
+  /// The DOC_DONE routing table, built for the order at
+  /// done_routes_ids_ when routes_generation_ read
+  /// done_routes_generation_, and rebuilt when either differs. It names
+  /// Session pointers, so this is a memory-safety invariant: every
+  /// write to owners_ bumps routes_generation_ (SetOwner: subscribe,
+  /// unsubscribe, detach on close), and so does every executor
+  /// mutation, because the pool then replaces its snapshot and a new
+  /// one may reuse a freed one's address. The serial engine's order
+  /// lives at one address, so only the generation tells its changes.
+  std::vector<DoneRoute> done_routes_;
+  const std::vector<std::string>* done_routes_ids_ = nullptr;  // compared only
+  uint64_t done_routes_generation_ = 0;
+  uint64_t routes_generation_ = 0;
+  /// Pipelined mode: the pool results being routed; it trades vectors
+  /// with pool_sink_'s mailbox at each drain.
+  PoolMailbox drained_;
   uint32_t next_wire_id_ = 1;
   uint64_t next_session_id_ = 1;
   Session* publisher_ = nullptr;  // connection feeding the open document

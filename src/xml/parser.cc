@@ -1,5 +1,6 @@
 #include "xml/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -177,11 +178,15 @@ Status XmlParser::Drain(bool at_eof) {
   while (pos_ < n) {
     if (d[pos_] == '<') {
       // The tape cursor sits on this '<' entry (every consumed entry is
-      // strictly before pos_); walk past it toward the closing '>'.
-      size_t cur = tape_pos_ + 1;
-      size_t nl = 0;
-      bool amp = false;
+      // strictly before pos_); walk past it toward the closing '>',
+      // resuming where the last Feed stopped.
+      size_t cur = tape_pos_ + std::max<size_t>(walked_, 1);
+      size_t nl = walked_nl_;
+      bool amp = walked_amp_;
       const std::string_view rest(d + pos_, n - pos_);
+      // The class is read again on each Feed rather than carried: it is
+      // final once 9 bytes have arrived, and a shorter prefix classed
+      // generic closed at the first '>', so its walk skipped none.
       enum { kGeneric, kComment, kCdata } cls = kGeneric;
       if (rest.size() >= 4 && rest.compare(0, 4, "<!--") == 0) {
         cls = kComment;
@@ -216,11 +221,15 @@ Status XmlParser::Drain(bool at_eof) {
         break;
       }
       if (!closed) {
-        if (!at_eof) break;  // wait for more input
+        if (!at_eof) {  // wait for more input
+          SuspendWalk(cur, nl, amp);
+          break;
+        }
         if (cls == kComment) return Fail("unterminated comment");
         if (cls == kCdata) return Fail("unterminated CDATA section");
         return Fail("unterminated markup");
       }
+      SuspendWalk(tape_pos_, 0, false);  // the token is complete
       const size_t end = gt + 1 - pos_;  // token length incl. '>'
       if (cls == kComment) {
         line_ += nl;
@@ -244,9 +253,9 @@ Status XmlParser::Drain(bool at_eof) {
       XPS_RETURN_IF_ERROR(HandleMarkup(rest.substr(0, end), amp));
     } else {
       // Text run: everything up to the next '<' (or end of input).
-      size_t cur = tape_pos_;
-      size_t nl = 0;
-      bool amp = false;
+      size_t cur = tape_pos_ + walked_;
+      size_t nl = walked_nl_;
+      bool amp = walked_amp_;
       size_t next = n;
       bool found = false;
       for (; cur < tn; ++cur) {
@@ -259,7 +268,11 @@ Status XmlParser::Drain(bool at_eof) {
         nl += (k == kStructNl) ? 1u : 0u;
         amp |= (k == kStructAmp);
       }
-      if (!found && !at_eof) break;  // wait for more input
+      if (!found && !at_eof) {  // wait for more input
+        SuspendWalk(cur, nl, amp);
+        break;
+      }
+      SuspendWalk(tape_pos_, 0, false);  // the run is complete
       const std::string_view raw(d + pos_, next - pos_);
       line_ += nl;
       pos_ = next;

@@ -162,6 +162,15 @@ class XmlParser {
   Status Drain(bool at_eof);
   Status DrainLegacy(bool at_eof);
 
+  /// Records how far the walk of the token at tape_pos_ got (`cur`, and
+  /// the newlines and '&' it passed), so the next Feed resumes it there;
+  /// `cur` == tape_pos_ forgets a completed token's walk.
+  void SuspendWalk(size_t cur, size_t nl, bool amp) {
+    walked_ = cur - tape_pos_;
+    walked_nl_ = nl;
+    walked_amp_ = amp;
+  }
+
   /// Handles one complete markup token tok == "<...>". `may_have_refs`
   /// reports whether the pre-scan saw any '&' inside the token — false
   /// lets attribute values skip entity-decode checks entirely.
@@ -213,6 +222,13 @@ class XmlParser {
   size_t scanned_ = 0;     // prefix of buf_ already on the tape
   StructuralIndex index_;  // tape over the current window
   size_t tape_pos_ = 0;    // tokenizer's tape cursor
+  // The unfinished token's walk (SuspendWalk): entries walked past
+  // tape_pos_, and the newlines and '&' among them. Relative to the
+  // cursor, so Rebase, which keeps the tape from the cursor on, leaves
+  // them valid; without them a token split over k Feeds costs O(k^2).
+  size_t walked_ = 0;
+  size_t walked_nl_ = 0;
+  bool walked_amp_ = false;
   size_t pos_ = 0;         // consumed prefix of the window
   size_t line_ = 1;        // for error messages
   std::vector<OpenElement> open_;  // open element stack

@@ -1,5 +1,7 @@
 #include "xml/structural_index.h"
 
+#include <algorithm>
+
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
@@ -27,8 +29,12 @@ void StructuralIndex::Scan(const char* data, size_t begin, size_t end) {
   size_t i = begin;
   // Markup-dense XML runs ~1 structural byte in 4; reserving that up
   // front keeps short-lived tapes (one small document per parser) from
-  // paying a realloc chain of push_back growth.
-  tape_.reserve(tape_.size() + (end - begin) / 4 + 16);
+  // paying a realloc chain of push_back growth. Growth at least doubles,
+  // so a tape extended by many small ranges reallocates O(log n) times.
+  const size_t want = tape_.size() + (end - begin) / 4 + 16;
+  if (want > tape_.capacity()) {
+    tape_.reserve(std::max(want, 2 * tape_.capacity()));
+  }
 #if defined(__SSE2__)
   // Vector loop: one 16-byte load and four exact byte compares per
   // step, ORed and packed into one bit per byte; blocks with no

@@ -387,6 +387,82 @@ TEST(ServerClientTest, SubscriberDisconnectMidDocumentDefersUnsubscribe) {
   EXPECT_EQ(tail[0].kind, ClientEvent::Kind::kDocDone);
 }
 
+// Reads one STATS counter; fails the test when it is missing.
+uint64_t StatValue(Client* client, const std::string& key) {
+  auto stats = client->Stats();
+  EXPECT_TRUE(stats.ok());
+  if (!stats.ok()) return 0;
+  const std::string needle = "\n" + key + "=";
+  const size_t at = ("\n" + *stats).find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from\n" << *stats;
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats->substr(at + needle.size() - 1));
+}
+
+// The server routes DOC_DONE through a table of owning connections that
+// it rebuilds only when an owner or the subscription order changes, so a
+// closed connection must invalidate it. One document builds the table
+// with a subscriber in it; the subscriber then closes while the next
+// document is in flight. That document's DOC_DONE lists only the
+// publisher's id, and nothing is pushed toward the closed connection.
+// The subscriber holds subscription position 0, so a stale table would
+// route the next document's first entry to a destroyed session.
+TEST(ServerClientTest, DocDoneRoutesNeverOutliveAnOwner) {
+  for (size_t workers : {1, 2}) {
+    SCOPED_TRACE("pipeline_workers " + std::to_string(workers));
+    ServerOptions options;
+    options.engine.engine = "nfa";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    auto publisher = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(publisher.ok());
+    auto subscriber = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(subscriber.ok());
+    auto theirs = (*subscriber)->Subscribe("//b", DeliveryMode::kEarliest);
+    ASSERT_TRUE(theirs.ok());
+    auto own = (*publisher)->Subscribe("//keep", DeliveryMode::kAtEnd);
+    ASSERT_TRUE(own.ok());
+
+    // Document 0 builds the table while both owners are connected.
+    ASSERT_TRUE((*publisher)->Feed("<a><b/><keep/></a>").ok());
+    auto first = (*publisher)->FinishDocument();
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE((*publisher)->WaitDocDone(*first).ok());
+    ASSERT_TRUE((*subscriber)->WaitDocDone(*first).ok());
+    const std::vector<ClientEvent> seen = (*subscriber)->TakeEvents();
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0].sub_id, *theirs);
+    ASSERT_EQ(seen[1].verdicts.size(), 1u);
+    EXPECT_EQ(seen[1].verdicts[0].first, *theirs);
+    (*publisher)->TakeEvents();
+
+    // Document 1 is in flight when the subscriber closes.
+    ASSERT_TRUE((*publisher)->Feed("<a><b/><keep>").ok());
+    ASSERT_TRUE((*publisher)->Stats().ok());  // the chunk was processed
+    subscriber->reset();
+    AwaitStat(publisher->get(), "connections", 1);
+    const uint64_t frames_before = StatValue(publisher->get(), "push_frames");
+    ASSERT_TRUE((*publisher)->Feed("</keep></a>").ok());
+    auto second = (*publisher)->FinishDocument();
+    ASSERT_TRUE(second.ok());
+    ASSERT_TRUE((*publisher)->WaitDocDone(*second).ok());
+
+    const std::vector<ClientEvent> events = (*publisher)->TakeEvents();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, ClientEvent::Kind::kMatch);
+    EXPECT_EQ(events[0].sub_id, *own);
+    EXPECT_EQ(events[1].doc, *second);
+    ASSERT_EQ(events[1].verdicts.size(), 1u);
+    EXPECT_EQ(events[1].verdicts[0].first, *own);
+    EXPECT_TRUE(events[1].verdicts[0].second);
+    // Every push frame since the close went to the publisher.
+    EXPECT_EQ(StatValue(publisher->get(), "push_frames") - frames_before,
+              events.size());
+    (*server)->Stop();
+  }
+}
+
 // The serial engine's population is fixed while a document streams:
 // another connection's SUBSCRIBE, UNSUBSCRIBE and COMPACT are refused
 // with status 1 (invalid argument) and change nothing, so the

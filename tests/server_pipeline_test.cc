@@ -17,7 +17,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -112,135 +114,183 @@ struct MatchRecorder : ResultSink {
   }
 };
 
-// The tentpole acceptance: K = 4 concurrent publishers through a
-// pipelined server produce, per document, exactly the serial engine's
-// results — all five engines, mixed delivery modes, varied chunking.
+// Runs `corpus` `rounds` times through a pipelined server on engine
+// `name`, fed by `publishers` concurrent connections, and checks every
+// document's MATCH sequence and DOC_DONE against a serial engine with
+// the same subscriptions. Returns the number of MATCHes checked.
+size_t ExpectPooledParity(const std::string& name,
+                          const std::vector<std::string>& queries,
+                          DeliveryMode (*mode_of)(size_t),
+                          const std::vector<std::string>& corpus,
+                          size_t publishers_count, size_t rounds) {
+  const size_t chunk_sizes[] = {0, 1, 17};
+  size_t checked_matches = 0;
+  ServerOptions options;
+  options.engine.engine = name;
+  options.pipeline_workers = PipelineWorkersFromEnv();
+  // Publishers do not wait for results, so a queue shorter than the run
+  // could reject a document when the workers lag (they do under TSan).
+  options.doc_queue_depth = corpus.size() * rounds;
+  // The subscriber reads only after the last document is in, so its
+  // outbox holds every push of the run (at most one MATCH per
+  // subscription and one DOC_DONE per document); a smaller cap sheds.
+  options.outbox_frames = std::max(
+      options.outbox_frames, (queries.size() + 1) * corpus.size() * rounds);
+  auto server = Server::Start(options);
+  EXPECT_TRUE(server.ok()) << name;
+  if (!server.ok()) return 0;
+
+  auto subscriber = Client::Connect("127.0.0.1", (*server)->port());
+  EXPECT_TRUE(subscriber.ok()) << name;
+  if (!subscriber.ok()) return 0;
+  std::vector<uint32_t> wire_ids;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto id = (*subscriber)->Subscribe(queries[q], mode_of(q));
+    EXPECT_TRUE(id.ok()) << name << " " << queries[q];
+    if (!id.ok()) return 0;
+    wire_ids.push_back(*id);
+  }
+
+  // Serial reference: one direct engine, same overlays the server
+  // applies, same subscriptions in the same order.
+  EngineOptions direct_options = options.engine;
+  direct_options.max_element_depth = options.max_element_depth;
+  direct_options.max_entity_expansion_bytes =
+      options.max_entity_expansion_bytes;
+  auto direct = Engine::Create(direct_options);
+  EXPECT_TRUE(direct.ok()) << name;
+  if (!direct.ok()) return 0;
+  MatchRecorder recorder;
+  (*direct)->SetSink(&recorder);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_TRUE((*direct)
+                    ->Subscribe("q" + std::to_string(q), queries[q],
+                                mode_of(q))
+                    .ok())
+        << name;
+  }
+  std::vector<DocExpected> expected;
+  for (const std::string& xml : corpus) {
+    recorder.matches.clear();
+    auto verdicts = (*direct)->FilterXml(xml);
+    EXPECT_TRUE(verdicts.ok()) << name;
+    if (!verdicts.ok()) return 0;
+    expected.push_back({recorder.matches, *verdicts});
+  }
+
+  // The publishers, each its own connection, racing over the corpus.
+  std::mutex map_mutex;
+  std::map<uint64_t, size_t> corpus_of_doc;
+  std::atomic<size_t> cursor{0};
+  std::vector<std::thread> publishers;
+  for (size_t t = 0; t < publishers_count; ++t) {
+    publishers.emplace_back([&] {
+      auto publisher = Client::Connect("127.0.0.1", (*server)->port());
+      EXPECT_TRUE(publisher.ok());
+      if (!publisher.ok()) return;
+      while (true) {
+        const size_t i = cursor.fetch_add(1);
+        if (i >= corpus.size() * rounds) break;
+        const size_t ci = i % corpus.size();
+        FeedChunked(publisher->get(), corpus[ci], chunk_sizes[ci % 3]);
+        auto doc = (*publisher)->FinishDocument();
+        EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+        if (!doc.ok()) return;
+        std::lock_guard<std::mutex> lock(map_mutex);
+        corpus_of_doc[*doc] = ci;
+      }
+    });
+  }
+  for (std::thread& thread : publishers) thread.join();
+  EXPECT_EQ(corpus_of_doc.size(), corpus.size() * rounds) << name;
+
+  // Rendezvous with every document's asynchronous evaluation, then
+  // compare per-document event groups. Within one document the
+  // server preserves the engine's order (MATCHes, then DOC_DONE);
+  // only the interleaving across documents is scheduling-dependent.
+  for (const auto& [doc, ci] : corpus_of_doc) {
+    EXPECT_TRUE((*subscriber)->WaitDocDone(doc).ok())
+        << name << " doc " << doc;
+  }
+  std::map<uint64_t, std::vector<ClientEvent>> by_doc;
+  for (ClientEvent& event : (*subscriber)->TakeEvents()) {
+    by_doc[event.doc].push_back(std::move(event));
+  }
+  for (const auto& [doc, ci] : corpus_of_doc) {
+    const std::vector<ClientEvent>& got = by_doc[doc];
+    const DocExpected& want = expected[ci];
+    EXPECT_EQ(got.size(), want.matches.size() + 1) << name << " doc " << doc;
+    if (got.size() != want.matches.size() + 1) return checked_matches;
+    for (size_t m = 0; m < want.matches.size(); ++m) {
+      EXPECT_EQ(got[m].kind, ClientEvent::Kind::kMatch)
+          << name << " doc " << doc << " event " << m;
+      EXPECT_EQ(got[m].sub_id, wire_ids[want.matches[m].first])
+          << name << " doc " << doc << " event " << m;
+      EXPECT_EQ(got[m].ordinal, want.matches[m].second)
+          << name << " doc " << doc << " event " << m;
+    }
+    checked_matches += want.matches.size();
+    const ClientEvent& done = got.back();
+    EXPECT_EQ(done.kind, ClientEvent::Kind::kDocDone) << name;
+    EXPECT_EQ(done.verdicts.size(), want.verdicts.size()) << name;
+    if (done.verdicts.size() != want.verdicts.size()) return checked_matches;
+    for (size_t v = 0; v < want.verdicts.size(); ++v) {
+      EXPECT_EQ(done.verdicts[v].first, wire_ids[v]) << name;
+      EXPECT_EQ(done.verdicts[v].second, want.verdicts[v])
+          << name << " doc " << doc;
+    }
+  }
+
+  auto stats = (*subscriber)->Stats();
+  EXPECT_TRUE(stats.ok());
+  if (!stats.ok()) return checked_matches;
+  EXPECT_NE(stats->find("pipeline_workers=" +
+                        std::to_string(options.pipeline_workers) + "\n"),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("queue_depth=" +
+                        std::to_string(options.doc_queue_depth) + "\n"),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("queue_peak="), std::string::npos);
+  EXPECT_NE(stats->find("docs_in_flight="), std::string::npos);
+  EXPECT_NE(stats->find("queue_rejects="), std::string::npos);
+  EXPECT_NE(stats->find("documents_seen=" +
+                        std::to_string(corpus.size() * rounds) + "\n"),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("dropped_frames=0\n"), std::string::npos) << *stats;
+  (*server)->Stop();
+  return checked_matches;
+}
+
+// K = 4 concurrent publishers through a pipelined server produce, per
+// document, exactly the serial engine's results — all five engines,
+// mixed delivery modes, varied chunking.
 TEST(ServerPipelineTest, ConcurrentPublishersParityAllEngines) {
   const std::vector<std::string> queries = GeneratedQueries(9, 20260808);
   const std::vector<std::string> corpus = XmlCorpus(8, 33);
-  constexpr size_t kPublishers = 4;
-  constexpr size_t kRounds = 2;
-  const size_t chunk_sizes[] = {0, 1, 17};
-
   for (const std::string& name : Engine::AvailableEngines()) {
-    ServerOptions options;
-    options.engine.engine = name;
-    options.pipeline_workers = PipelineWorkersFromEnv();
-    options.doc_queue_depth = 16;
-    auto server = Server::Start(options);
-    ASSERT_TRUE(server.ok()) << name;
-
-    auto subscriber = Client::Connect("127.0.0.1", (*server)->port());
-    ASSERT_TRUE(subscriber.ok()) << name;
-    std::vector<uint32_t> wire_ids;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      auto id = (*subscriber)->Subscribe(queries[q], ModeOf(q));
-      ASSERT_TRUE(id.ok()) << name << " " << queries[q];
-      wire_ids.push_back(*id);
-    }
-
-    // Serial reference: one direct engine, same overlays the server
-    // applies, same subscriptions in the same order.
-    EngineOptions direct_options = options.engine;
-    direct_options.max_element_depth = options.max_element_depth;
-    direct_options.max_entity_expansion_bytes =
-        options.max_entity_expansion_bytes;
-    auto direct = Engine::Create(direct_options);
-    ASSERT_TRUE(direct.ok()) << name;
-    MatchRecorder recorder;
-    (*direct)->SetSink(&recorder);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_TRUE((*direct)
-                      ->Subscribe("q" + std::to_string(q), queries[q],
-                                  ModeOf(q))
-                      .ok())
-          << name;
-    }
-    std::vector<DocExpected> expected;
-    for (const std::string& xml : corpus) {
-      recorder.matches.clear();
-      auto verdicts = (*direct)->FilterXml(xml);
-      ASSERT_TRUE(verdicts.ok()) << name;
-      expected.push_back({recorder.matches, *verdicts});
-    }
-
-    // K publishers, each its own connection, racing over the corpus.
-    std::mutex map_mutex;
-    std::map<uint64_t, size_t> corpus_of_doc;
-    std::atomic<size_t> cursor{0};
-    std::vector<std::thread> publishers;
-    for (size_t t = 0; t < kPublishers; ++t) {
-      publishers.emplace_back([&] {
-        auto publisher = Client::Connect("127.0.0.1", (*server)->port());
-        EXPECT_TRUE(publisher.ok());
-        if (!publisher.ok()) return;
-        while (true) {
-          const size_t i = cursor.fetch_add(1);
-          if (i >= corpus.size() * kRounds) break;
-          const size_t ci = i % corpus.size();
-          FeedChunked(publisher->get(), corpus[ci], chunk_sizes[ci % 3]);
-          auto doc = (*publisher)->FinishDocument();
-          EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-          if (!doc.ok()) return;
-          std::lock_guard<std::mutex> lock(map_mutex);
-          corpus_of_doc[*doc] = ci;
-        }
-      });
-    }
-    for (std::thread& thread : publishers) thread.join();
-    ASSERT_EQ(corpus_of_doc.size(), corpus.size() * kRounds) << name;
-
-    // Rendezvous with every document's asynchronous evaluation, then
-    // compare per-document event groups. Within one document the
-    // server preserves the engine's order (MATCHes, then DOC_DONE);
-    // only the interleaving across documents is scheduling-dependent.
-    for (const auto& [doc, ci] : corpus_of_doc) {
-      ASSERT_TRUE((*subscriber)->WaitDocDone(doc).ok())
-          << name << " doc " << doc;
-    }
-    std::map<uint64_t, std::vector<ClientEvent>> by_doc;
-    for (ClientEvent& event : (*subscriber)->TakeEvents()) {
-      by_doc[event.doc].push_back(std::move(event));
-    }
-    for (const auto& [doc, ci] : corpus_of_doc) {
-      const std::vector<ClientEvent>& got = by_doc[doc];
-      const DocExpected& want = expected[ci];
-      ASSERT_EQ(got.size(), want.matches.size() + 1)
-          << name << " doc " << doc;
-      for (size_t m = 0; m < want.matches.size(); ++m) {
-        ASSERT_EQ(got[m].kind, ClientEvent::Kind::kMatch)
-            << name << " doc " << doc << " event " << m;
-        EXPECT_EQ(got[m].sub_id, wire_ids[want.matches[m].first])
-            << name << " doc " << doc << " event " << m;
-        EXPECT_EQ(got[m].ordinal, want.matches[m].second)
-            << name << " doc " << doc << " event " << m;
-      }
-      const ClientEvent& done = got.back();
-      ASSERT_EQ(done.kind, ClientEvent::Kind::kDocDone) << name;
-      ASSERT_EQ(done.verdicts.size(), want.verdicts.size()) << name;
-      for (size_t v = 0; v < want.verdicts.size(); ++v) {
-        EXPECT_EQ(done.verdicts[v].first, wire_ids[v]) << name;
-        EXPECT_EQ(done.verdicts[v].second, want.verdicts[v])
-            << name << " doc " << doc;
-      }
-    }
-
-    auto stats = (*subscriber)->Stats();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_NE(stats->find("pipeline_workers=" +
-                          std::to_string(options.pipeline_workers) + "\n"),
-              std::string::npos)
-        << *stats;
-    EXPECT_NE(stats->find("queue_depth=16\n"), std::string::npos) << *stats;
-    EXPECT_NE(stats->find("queue_peak="), std::string::npos);
-    EXPECT_NE(stats->find("docs_in_flight="), std::string::npos);
-    EXPECT_NE(stats->find("queue_rejects="), std::string::npos);
-    EXPECT_NE(stats->find("documents_seen=" +
-                          std::to_string(corpus.size() * kRounds) + "\n"),
-              std::string::npos)
-        << *stats;
-    (*server)->Stop();
+    ExpectPooledParity(name, queries, ModeOf, corpus, /*publishers=*/4,
+                       /*rounds=*/2);
+    if (::testing::Test::HasFailure()) return;
   }
+}
+
+// The dissemination shape (tripbench's dissem-1k): 1024 kEarliest
+// linear queries over s0..s3 on nfa_index and two publishers. A document
+// yields about 220 MATCHes (dissem-1k's run 234), so the loop often
+// drains the pool's result mailbox in the middle of a document's records.
+TEST(ServerPipelineTest, DisseminationScaleParity) {
+  const std::vector<std::string> queries = GeneratedQueries(1024, 20261020);
+  const std::vector<std::string> corpus = XmlCorpus(32, 1020);
+  const size_t matches = ExpectPooledParity(
+      "nfa_index", queries, [](size_t) { return DeliveryMode::kEarliest; },
+      corpus, /*publishers=*/2, /*rounds=*/1);
+  const double per_doc = static_cast<double>(matches) / corpus.size();
+  std::printf("[ dissemination ] %.1f MATCHes per document over %zu\n",
+              per_doc, corpus.size());
+  EXPECT_GE(per_doc, 128.0);
 }
 
 // In pipelined mode documents are per-connection in flight: two

@@ -9,9 +9,14 @@
 // The count-mode cases parse each input again at the same chunking and
 // switch the parser to count mode at every event ordinal: the prefix,
 // the status and the measured profile must equal the full parse's.
+//
+// The long-token cases feed 1 MiB tokens in 16-byte chunks: each Feed
+// must resume the unfinished token's tape walk, not restart it, so the
+// parse stays linear in the token's length.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -246,6 +251,46 @@ TEST(XmlChunkDifferentialTest, CountModeStructuralTokensAcrossBoundaries) {
   for (const char* input : kStructuralInputs) {
     ExpectCountModeAgrees(input, /*entity_cap=*/0, input);
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// A 1 MiB body of `unit` repeats, with `every` spliced in each 4 KiB.
+std::string LongBody(std::string_view unit, std::string_view every) {
+  constexpr size_t kBytes = size_t{1} << 20;
+  std::string body;
+  body.reserve(kBytes + 4096);
+  while (body.size() < kBytes) {
+    if (body.size() % 4096 < unit.size()) body.append(every);
+    body.append(unit);
+  }
+  return body;
+}
+
+TEST(XmlChunkDifferentialTest, LongTokensInSmallFeedsParseInLinearTime) {
+  // A text run, an attribute value and a comment, each 1 MiB, thick
+  // with newline, '&' and (in the comment) non-closing '>' entries for
+  // the walk to carry across Feeds. Restarting the walk on every Feed
+  // made this quadratic: about 17 s per input in a Release build.
+  const std::pair<const char*, std::string> inputs[] = {
+      {"text run", "<a>" + LongBody("x\n", "&amp;") + "</a>"},
+      {"attribute value",
+       "<a v=\"" + LongBody("y\n", "&lt;") + "\"><b/></a>"},
+      {"comment", "<a><!--" + LongBody("z>\n", "a->") + "--><b/></a>"},
+  };
+  for (const auto& [label, xml] : inputs) {
+    const ParseOutcome whole = ParseChunked(xml, 0, nullptr, 0);
+    ASSERT_EQ(whole.status, "OK") << label;
+    const auto start = std::chrono::steady_clock::now();
+    const ParseOutcome chunked = ParseChunked(xml, 16, nullptr, 0);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(chunked.status, whole.status) << label;
+    EXPECT_TRUE(NormalizeText(chunked.events.events()) ==
+                NormalizeText(whole.events.events()))
+        << label;
+    // Generous for a sanitizer build; a linear parse takes milliseconds.
+    EXPECT_LT(seconds, 5.0) << label;
   }
 }
 
