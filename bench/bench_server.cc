@@ -58,7 +58,9 @@ struct Row {
 Row MeasureDirect(const std::string& engine_name,
                   const std::vector<std::string>& docs) {
   Row row;
-  EngineOptions options;
+  // The server's engine configuration, so the overhead column measures
+  // only the wire.
+  EngineOptions options = ServiceEngineOptions();
   options.engine = engine_name;
   options.keep_history = false;
   auto engine = Engine::Create(options);
@@ -97,7 +99,6 @@ Row MeasureLoopback(const std::string& engine_name,
   Row row;
   ServerOptions options;
   options.engine.engine = engine_name;
-  options.engine.keep_history = false;
   auto server = Server::Start(options);
   if (!server.ok()) return row;
   auto client = Client::Connect("127.0.0.1", (*server)->port());

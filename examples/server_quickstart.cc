@@ -2,9 +2,10 @@
 // the blocking Client. With no arguments the example starts an
 // in-process Server on an ephemeral loopback port (self-contained, no
 // daemon needed); given `host port` it connects to a running xpstreamd
-// instead — the CI smoke step uses that mode against a real daemon:
+// instead — the CI smoke step uses that mode against a real daemon,
+// serial and pipelined:
 //
-//   $ xpstreamd --port 7845 --engine frontier &
+//   $ xpstreamd --port 7845 --engine frontier [--pipeline-workers 2] &
 //   $ example_server_quickstart 127.0.0.1 7845
 //
 // Public headers only, exactly as an external consumer would use them.
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
   }
 
   // Publish the stream; any client on the service may publish.
+  std::vector<uint64_t> published;
   for (const std::string& xml : kDocuments) {
     if (!(*client)->Feed(xml).ok()) {
       std::fprintf(stderr, "feed failed\n");
@@ -92,6 +94,19 @@ int main(int argc, char** argv) {
     if (!doc.ok()) {
       std::fprintf(stderr, "document rejected: %s\n",
                    doc.status().ToString().c_str());
+      return 1;
+    }
+    published.push_back(*doc);
+  }
+
+  // A pipelined server (--pipeline-workers N >= 2) pushes a document's
+  // MATCH/DOC_DONE after its DOC_OK, so wait for every DOC_DONE first.
+  for (uint64_t doc : published) {
+    Status done = (*client)->WaitDocDone(doc);
+    if (!done.ok()) {
+      std::fprintf(stderr, "no DOC_DONE for doc %llu: %s\n",
+                   static_cast<unsigned long long>(doc),
+                   done.ToString().c_str());
       return 1;
     }
   }

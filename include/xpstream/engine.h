@@ -71,9 +71,11 @@ enum class DeliveryMode {
   /// state entry, the frontier algorithm at the event that meets the
   /// query root's last requirement, the naive engine only at
   /// endDocument). A document can still be aborted after a match was
-  /// pushed: no OnDocumentDone follows, and the next document reuses
-  /// its index, so only OnDocumentDone's verdicts are authoritative
-  /// for a completed document.
+  /// pushed: no OnDocumentDone follows. Every startDocument takes the
+  /// next index, so an aborted document's index is never reused and
+  /// the indices of completed documents may skip. Only
+  /// OnDocumentDone's verdicts are authoritative for a completed
+  /// document.
   kEarliest,
 };
 
@@ -114,9 +116,8 @@ class ResultSink {
 struct EngineOptions {
   /// Name of the filtering algorithm — one of AvailableEngines() — or
   /// "auto", which routes each new evaluation slot to the engine the
-  /// query planner (xpstream/planner.h) predicts cheapest for it,
-  /// falling back down the ranking when an engine rejects the query at
-  /// Subscribe time. "auto" is a routing policy over the built-in
+  /// query planner (xpstream/planner.h) predicts cheapest among those
+  /// that accept it. "auto" is a routing policy over the built-in
   /// algorithms, not an algorithm, so it does not appear in
   /// AvailableEngines().
   std::string engine = "frontier";
@@ -401,7 +402,8 @@ class Engine : public EventSink {
 
   // --- results ------------------------------------------------------
 
-  /// Number of completed documents.
+  /// Number of completed documents. (Sink indices count every started
+  /// document, aborted ones included.)
   size_t documents_seen() const { return documents_seen_; }
 
   /// Per-document verdict history (empty when keep_history is off).
@@ -492,13 +494,12 @@ class Engine : public EventSink {
   /// none under "auto". Create and CompactSubscriptions start here.
   Result<std::vector<std::unique_ptr<Member>>> FreshMembers();
 
-  /// Subscribes `query` as evaluation slot `slot` on the first of
-  /// `engines` whose matcher in `members` accepts it, creating that
-  /// engine's member when `members` has none (kept only once the slot
-  /// lands on it). kUnsupported falls through to the next engine; any
-  /// other error stops. On failure `members` is unchanged.
+  /// Subscribes `query` as evaluation slot `slot` on `engine`'s matcher
+  /// in `members`, creating that engine's member when `members` has
+  /// none (kept only once the slot lands on it). On failure `members`
+  /// is unchanged.
   Result<Placement> PlaceSlot(size_t slot, const Query* query,
-                              const std::vector<std::string>& engines,
+                              const std::string& engine,
                               std::vector<std::unique_ptr<Member>>* members);
 
   /// Feeds one event to every member, its name resolved once against
@@ -530,10 +531,10 @@ class Engine : public EventSink {
   /// them. On bytes the parser performs these checks.
   Status CheckShape(const Event& event);
 
-  /// Document-completion bookkeeping shared by the matched and the
-  /// short-circuited endDocument: decided positions, history, peak
-  /// gauges, deferred sink deliveries. Expects slot_verdicts_ set and
-  /// event_ordinal_ at the endDocument ordinal.
+  /// Document-completion bookkeeping at endDocument: verdicts read off
+  /// the members' reports, decided positions, history, peak gauges,
+  /// deferred sink deliveries. Expects event_ordinal_ at the
+  /// endDocument ordinal.
   void FinalizeDocument();
 
   EngineOptions options_;
@@ -602,6 +603,9 @@ class Engine : public EventSink {
   size_t pending_ordinal_ = 0;
 
   size_t documents_seen_ = 0;
+  /// Documents started, completed or aborted: the current document's
+  /// sink index is documents_started_ - 1.
+  size_t documents_started_ = 0;
   size_t documents_short_circuited_ = 0;
   std::vector<std::vector<bool>> history_;
 

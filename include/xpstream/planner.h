@@ -63,13 +63,12 @@ struct EnginePrediction {
   std::string engine;
   /// Predicted peak cost on this engine.
   CostEstimate cost;
-  /// Static fragment check: whether this engine is expected to accept
-  /// the query. The planner's check mirrors the engines' own gates;
-  /// "auto" still falls through to the next candidate if an engine
-  /// disagrees and rejects at Subscribe time.
+  /// Whether this engine accepts the query: the engine's own fragment
+  /// gate, the same check its Subscribe runs first, so the plan and
+  /// the engine never disagree.
   bool supported = false;
-  /// One-phrase rationale: the dominating bound, or the fragment gate
-  /// that failed.
+  /// One-phrase rationale: the engine's own rejection message when
+  /// unsupported.
   std::string why;
 };
 
@@ -80,8 +79,8 @@ struct QueryPlan {
   /// All built-in engines, supported-then-cheapest first.
   std::vector<EnginePrediction> ranking;
 
-  /// The entry "auto" would subscribe on: the first supported entry,
-  /// or nullptr when no engine statically accepts the query.
+  /// The entry "auto" subscribes on: the first supported entry, or
+  /// nullptr when no engine accepts the query.
   const EnginePrediction* Choice() const;
 
   /// Multi-line table rendering for logs and tools.

@@ -60,6 +60,19 @@
 
 namespace xpstream {
 
+/// The engine configuration xpstreamd serves with, and the default of
+/// ServerOptions::engine: the commitment cut on (short_circuit), open
+/// elements capped at depth 1024, and decoded entity/charref bytes at
+/// 1 MiB per document. The caps keep a hostile document from growing
+/// unbounded open-element state or decode work.
+inline EngineOptions ServiceEngineOptions() {
+  EngineOptions options;
+  options.short_circuit = true;
+  options.max_element_depth = 1024;
+  options.max_entity_expansion_bytes = 1u << 20;
+  return options;
+}
+
 struct ServerOptions {
   /// Address to bind; tests and single-host deployments use loopback.
   std::string bind_address = "127.0.0.1";
@@ -70,13 +83,12 @@ struct ServerOptions {
   /// Configuration of the engine the server owns, admission budget and
   /// policy included: a SUBSCRIBE over memory_budget_bytes is answered
   /// with an ERROR frame carrying kResourceExhausted (or admitted
-  /// degraded). max_element_depth and max_entity_expansion_bytes are
-  /// overridden by the server-level defaults below when left at 0, so a
-  /// hostile document cannot grow unbounded open-element state or
-  /// decode work unless explicitly allowed. keep_history is always
-  /// turned off: a service's document stream is unbounded, and nothing
-  /// in the protocol reads the history.
-  EngineOptions engine;
+  /// degraded). Defaults to ServiceEngineOptions(), the configuration
+  /// xpstreamd serves with; a caller may still set a cap to 0
+  /// (unlimited) or turn the cut off. keep_history is always turned
+  /// off: a service's document stream is unbounded, and nothing in the
+  /// protocol reads the history.
+  EngineOptions engine = ServiceEngineOptions();
 
   /// Hard cap on one wire frame (length prefix + body). A frame
   /// declaring more is a framing violation: ERROR, then the connection
@@ -86,17 +98,6 @@ struct ServerOptions {
   /// Cap on one document's cumulative DOC_CHUNK bytes. Exceeding it
   /// aborts the document with an ERROR frame; the connection survives.
   size_t max_document_bytes = 64u << 20;
-
-  /// Open-element depth cap applied to the engine (0 = unlimited);
-  /// used only when options.engine.max_element_depth is 0.
-  size_t max_element_depth = 1024;
-
-  /// Entity/charref expansion cap per document, in decoded bytes,
-  /// applied to the engine (0 = unlimited); used only when
-  /// options.engine.max_entity_expansion_bytes is 0. A billion-laughs
-  /// style document is answered with a clean ERROR at DOC_END instead
-  /// of unbounded decode work; the connection survives.
-  size_t max_entity_expansion_bytes = 1u << 20;
 
   /// Engine replicas evaluating documents concurrently. 1 (the
   /// default) keeps the serial single-Engine service; >= 2 puts an

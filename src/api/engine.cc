@@ -46,14 +46,13 @@ Engine::~Engine() = default;
 
 namespace {
 
-/// Where a new evaluation slot may run, read off one query plan.
+/// Where a new evaluation slot runs, read off one query plan.
 struct SlotRoute {
-  /// Engines to try in order: the configured one, or under "auto" every
-  /// engine the planner expects to accept the query, cheapest first.
-  std::vector<std::string> engines;
-  /// The predicted peak bytes admission charges: the configured
-  /// engine's plan row, or the plan's Choice() under "auto" (0 when no
-  /// engine is expected to accept the query).
+  /// The configured engine, or under "auto" the plan's Choice(), which
+  /// always exists: "naive" accepts every query.
+  std::string engine;
+  /// The predicted peak bytes admission charges: that engine's plan
+  /// row.
   size_t price = 0;
 };
 
@@ -62,19 +61,15 @@ struct SlotRoute {
 SlotRoute RouteSlot(const std::string& engine, const CompiledQuery& query,
                     const DocumentProfile& profile) {
   const QueryPlan plan = BuildQueryPlan(*query.query(), profile);
-  const bool routed = engine == "auto";
   SlotRoute route;
   for (const EnginePrediction& prediction : plan.ranking) {
-    if (routed ? !prediction.supported : prediction.engine != engine) {
-      continue;
-    }
-    // The first row taken is the one admission charges: the configured
-    // engine's, or under "auto" the plan's Choice() (the ranking lists
-    // supported engines first, cheapest first).
-    if (route.engines.empty()) {
+    // Under "auto" the first supported row: the plan's Choice() (the
+    // ranking lists supported engines first, cheapest first).
+    if (engine == "auto" ? prediction.supported : prediction.engine == engine) {
+      route.engine = prediction.engine;
       route.price = prediction.cost.PredictedPeakBytes();
+      break;
     }
-    route.engines.push_back(prediction.engine);
   }
   return route;
 }
@@ -119,7 +114,11 @@ Result<std::unique_ptr<Engine>> Engine::Create(std::string_view engine_name) {
   return Create(options);
 }
 
-std::vector<std::string> Engine::AvailableEngines() { return EngineNames(); }
+std::vector<std::string> Engine::AvailableEngines() {
+  std::vector<std::string> names = EngineNames();
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 Status Engine::CheckSubscribable(const std::string& id) const {
   if (in_document_ || parser_ != nullptr) {
@@ -160,35 +159,25 @@ Result<std::vector<std::unique_ptr<Engine::Member>>> Engine::FreshMembers() {
 }
 
 Result<Engine::Placement> Engine::PlaceSlot(
-    size_t slot, const Query* query, const std::vector<std::string>& engines,
+    size_t slot, const Query* query, const std::string& engine,
     std::vector<std::unique_ptr<Member>>* members) {
-  // The planner's support check is advisory: an engine that still
-  // rejects the query at Subscribe time falls through to the next.
-  Status last = Status::Unsupported("no engine accepts this query");
-  for (const std::string& engine : engines) {
-    size_t index = 0;
-    while (index < members->size() &&
-           (*members)[index]->matcher->name() != engine) {
-      ++index;
-    }
-    std::unique_ptr<Member> created;
-    if (index == members->size()) {
-      auto member = NewMember(engine);
-      if (!member.ok()) return member.status();
-      created = std::move(member).value();
-    }
-    Member& member = created != nullptr ? *created : *(*members)[index];
-    const size_t local = member.matcher->NumSubscriptions();
-    Status status = member.matcher->Subscribe(local, query);
-    if (status.ok()) {
-      member.slots.push_back(slot);
-      if (created != nullptr) members->push_back(std::move(created));
-      return Placement{index, local};
-    }
-    if (status.code() != StatusCode::kUnsupported) return status;
-    last = std::move(status);
+  size_t index = 0;
+  while (index < members->size() &&
+         (*members)[index]->matcher->name() != engine) {
+    ++index;
   }
-  return last;
+  std::unique_ptr<Member> created;
+  if (index == members->size()) {
+    auto member = NewMember(engine);
+    if (!member.ok()) return member.status();
+    created = std::move(member).value();
+  }
+  Member& member = created != nullptr ? *created : *(*members)[index];
+  const size_t local = member.matcher->NumSubscriptions();
+  XPS_RETURN_IF_ERROR(member.matcher->Subscribe(local, query));
+  member.slots.push_back(slot);
+  if (created != nullptr) members->push_back(std::move(created));
+  return Placement{index, local};
 }
 
 Status Engine::Subscribe(std::string id, CompiledQuery query,
@@ -248,12 +237,12 @@ Status Engine::Subscribe(std::string id, CompiledQuery query,
     mode = DeliveryMode::kAtEnd;  // no early push work for the degraded
   }
 
-  // A member subscribes *next*: a rejected query (outside every routed
+  // A member subscribes *next*: a rejected query (outside the routed
   // engine's fragment) still returns before any facade state mutates,
   // extending the engines' rejected-Subscribe non-pollution guarantee
   // to the dedup layer.
   const size_t slot = slots_.size();
-  auto placement = PlaceSlot(slot, query.query(), route.engines, &members_);
+  auto placement = PlaceSlot(slot, query.query(), route.engine, &members_);
   if (!placement.ok()) return placement.status();
   if (!key.empty()) slot_of_key_.emplace(key, slot);
   slots_.push_back(EvalSlot{std::move(key), std::move(query), 1, false,
@@ -345,7 +334,7 @@ Status Engine::CompactSubscriptions() {
     const SlotRoute route =
         RouteSlot(options_.engine, slots_[old].query, ProfileSnapshot());
     auto placement = PlaceSlot(placements.size(), slots_[old].query.query(),
-                               route.engines, &*fresh);
+                               route.engine, &*fresh);
     if (!placement.ok()) return placement.status();
     new_of_old[old] = placements.size();
     placements.push_back(*placement);
@@ -401,9 +390,7 @@ bool Engine::NeedsReroute() const {
     if (slot.tombstoned) continue;
     const SlotRoute route =
         RouteSlot(options_.engine, slot.query, ProfileSnapshot());
-    if (!route.engines.empty() &&
-        route.engines.front() !=
-            members_[slot.placement.member]->matcher->name()) {
+    if (route.engine != members_[slot.placement.member]->matcher->name()) {
       return true;
     }
   }
@@ -508,7 +495,7 @@ void Engine::FlushPendingMatches() {
   // that orders deliveries across members.
   std::sort(pending_matches_.begin(), pending_matches_.end());
   for (size_t sub : pending_matches_) {
-    result_sink_->OnMatch(sub, documents_seen_, pending_ordinal_);
+    result_sink_->OnMatch(sub, documents_started_ - 1, pending_ordinal_);
   }
   pending_matches_.clear();
 }
@@ -605,9 +592,12 @@ void Engine::FinalizeDocument() {
     profile_->Observe(collector_.stats(), symbols_->size());
   }
   if (result_sink_ != nullptr) FlushPendingMatches();
-  // Slots still undecided carry non-matches, decided at endDocument.
-  for (size_t& position : decided_at_) {
-    if (position == kNoEventOrdinal) position = event_ordinal_;
+  // The members' reports are the verdicts: a slot reported by now
+  // matched. One never reported did not, decided at endDocument.
+  slot_verdicts_.resize(decided_at_.size());
+  for (size_t slot = 0; slot < decided_at_.size(); ++slot) {
+    slot_verdicts_[slot] = decided_at_[slot] != kNoEventOrdinal;
+    if (!slot_verdicts_[slot]) decided_at_[slot] = event_ordinal_;
   }
   // Everything O(subscriptions) below is deferred or sink-gated; a
   // sink-less caller that samples results per id pays O(slots) here.
@@ -618,7 +608,7 @@ void Engine::FinalizeDocument() {
     MaterializeExpansion();
     history_.push_back(last_verdicts_);
   }
-  const size_t doc_index = documents_seen_;
+  const size_t doc_index = documents_started_ - 1;
   ++documents_seen_;
   const MemoryStats& document_stats = stats();
   peak_table_entries_ = std::max(peak_table_entries_,
@@ -646,6 +636,7 @@ Status Engine::OnEvent(const Event& event) {
         return Status::NotWellFormed("nested startDocument in stream");
       }
       in_document_ = true;
+      ++documents_started_;  // the document's index, aborted or not
       short_circuited_ = false;
       element_depth_ = 0;
       event_ordinal_ = 0;
@@ -666,20 +657,10 @@ Status Engine::OnEvent(const Event& event) {
       collector_.OnEvent(event);
       if (parser_ == nullptr) XPS_RETURN_IF_ERROR(CheckShape(event));
       if (short_circuited_) {
-        // All subscriptions decided mid-document — decided means
-        // matched, so the verdicts are known without the matcher.
-        slot_verdicts_.assign(slots_.size(), true);
+        // Every live slot matched mid-document: no member needs the end.
         ++documents_short_circuited_;
       } else {
         XPS_RETURN_IF_ERROR(FeedMembers(event));
-        slot_verdicts_.assign(slots_.size(), false);
-        for (const auto& member : members_) {
-          auto verdicts = member->matcher->Verdicts();
-          if (!verdicts.ok()) return verdicts.status();
-          for (size_t local = 0; local < member->slots.size(); ++local) {
-            slot_verdicts_[member->slots[local]] = (*verdicts)[local];
-          }
-        }
       }
       FinalizeDocument();
       return Status::OK();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <set>
 
-#include "analysis/fragment.h"
-#include "common/string_util.h"
 #include "lowerbounds/theory.h"
-#include "stream/nfa_filter.h"
+#include "stream/engine_registry.h"
 #include "xpath/ast.h"
 
 namespace xpstream {
@@ -30,13 +28,11 @@ size_t StackLevels(const DocumentProfile& profile) {
 QueryShape AnalyzeQueryShape(const Query& query) {
   QueryShape shape;
   shape.size = query.size();
-  shape.linear = IsLinearPathQuery(query);
   std::set<std::string> names;
   for (const QueryNode* node : query.AllNodes()) {
     if (node->is_root()) continue;
     shape.depth = std::max(shape.depth, node->Depth());
     if (node->axis() == Axis::kDescendant) shape.has_descendant = true;
-    if (node->axis() == Axis::kAttribute) shape.has_attribute = true;
     if (node->predicate() != nullptr) shape.has_predicates = true;
     if (!node->is_wildcard()) names.insert(node->ntest());
   }
@@ -58,54 +54,6 @@ QueryShape AnalyzeQueryShape(const Query& query) {
     }
   }
   return shape;
-}
-
-const std::vector<std::string>& PlannerEngines() {
-  // Preference order for exact cost ties: automaton stacks are the
-  // leanest structures, the frontier table next, tree building last.
-  static const std::vector<std::string> kEngines = {
-      "nfa", "lazy_dfa", "nfa_index", "frontier", "naive"};
-  return kEngines;
-}
-
-bool EngineSupportsQuery(const std::string& engine, const Query& query,
-                         const QueryShape& shape, std::string* why) {
-  std::string reason;
-  if (engine == "naive") {
-    if (why != nullptr) *why = "full Forward XPath fragment";
-    return true;
-  }
-  if (engine == "nfa" || engine == "lazy_dfa" || engine == "nfa_index") {
-    if (!shape.linear) {
-      if (why != nullptr) *why = "not a linear path (predicates/branches)";
-      return false;
-    }
-    if (shape.steps > 63) {
-      if (why != nullptr) *why = "more than 63 steps";
-      return false;
-    }
-    if (engine == "lazy_dfa" && shape.has_attribute) {
-      if (why != nullptr) *why = "'@' step outside the DFA fragment";
-      return false;
-    }
-    if (engine == "nfa_index" && shape.steps == 0) {
-      if (why != nullptr) *why = "query has no steps";
-      return false;
-    }
-    if (why != nullptr) *why = "linear path fragment";
-    return true;
-  }
-  if (engine == "frontier") {
-    if (!IsConjunctive(query, &reason) || !IsUnivariate(query, &reason) ||
-        !IsLeafOnlyValueRestricted(query, &reason)) {
-      if (why != nullptr) *why = reason;
-      return false;
-    }
-    if (why != nullptr) *why = "univariate conjunctive fragment";
-    return true;
-  }
-  if (why != nullptr) *why = "unknown engine";
-  return false;
 }
 
 CostEstimate EstimateCostForEngine(const std::string& engine,
@@ -178,13 +126,15 @@ CostEstimate EstimateCostForEngine(const std::string& engine,
 QueryPlan BuildQueryPlan(const Query& query, const DocumentProfile& profile) {
   const QueryShape shape = AnalyzeQueryShape(query);
   QueryPlan plan;
-  plan.ranking.reserve(PlannerEngines().size());
-  for (const std::string& engine : PlannerEngines()) {
+  plan.ranking.reserve(EngineNames().size());
+  for (const std::string& engine : EngineNames()) {
     EnginePrediction prediction;
     prediction.engine = engine;
     prediction.cost = EstimateCostForEngine(engine, shape, profile);
-    prediction.supported =
-        EngineSupportsQuery(engine, query, shape, &prediction.why);
+    const Status gate = CheckEngineSupports(engine, query);
+    prediction.supported = gate.ok();
+    prediction.why = gate.ok() ? "inside the engine's fragment"
+                               : gate.message();
     plan.ranking.push_back(std::move(prediction));
   }
   std::stable_sort(plan.ranking.begin(), plan.ranking.end(),

@@ -10,7 +10,6 @@
 /// the public PlanQuery/EstimateEngineCost.
 
 #include <string>
-#include <vector>
 
 #include "xml/stats.h"
 #include "xpstream/planner.h"
@@ -31,33 +30,22 @@ struct QueryShape {
   /// driver of the 2^k transition-table blowup (experiment E5).
   size_t wildcard_window = 0;
   bool has_descendant = false; ///< Any descendant axis (not closure-free).
-  bool has_attribute = false;  ///< Any attribute-axis step on the path.
   bool has_predicates = false; ///< Any predicate anywhere.
-  bool linear = false;         ///< Pure location path (IsLinearPathQuery).
 };
 
 /// Measures `query` for the cost formulas.
 QueryShape AnalyzeQueryShape(const Query& query);
 
-/// The engines the planner prices, in candidate preference order used
-/// to break exact cost ties deterministically.
-const std::vector<std::string>& PlannerEngines();
-
-/// Static fragment check mirroring `engine`'s own Subscribe gate.
-/// Advisory: the "auto" matcher still falls through on a live
-/// kUnsupported, so a permissive mistake here costs one rejected
-/// attempt, never a wrong verdict.
-bool EngineSupportsQuery(const std::string& engine, const Query& query,
-                         const QueryShape& shape, std::string* why);
-
 /// Prices `query` on `engine` under `profile`. `engine` must be one of
-/// PlannerEngines().
+/// EngineNames() (stream/engine_registry.h).
 CostEstimate EstimateCostForEngine(const std::string& engine,
                                    const QueryShape& shape,
                                    const DocumentProfile& profile);
 
 /// Builds the full supported-then-cheapest ranking (the body of the
-/// public PlanQuery).
+/// public PlanQuery). A row is supported exactly when the engine's own
+/// fragment gate (CheckEngineSupports) accepts the query; exact cost
+/// ties keep EngineNames() order.
 QueryPlan BuildQueryPlan(const Query& query, const DocumentProfile& profile);
 
 }  // namespace xpstream

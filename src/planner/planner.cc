@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "planner/cost_model.h"
+#include "stream/engine_registry.h"
 #include "xpath/ast.h"
 
 namespace xpstream {
@@ -48,7 +49,7 @@ QueryPlan PlanQuery(const CompiledQuery& query,
 Result<CostEstimate> EstimateEngineCost(const CompiledQuery& query,
                                         const DocumentProfile& profile,
                                         const std::string& engine) {
-  const auto& engines = PlannerEngines();
+  const auto& engines = EngineNames();
   if (std::find(engines.begin(), engines.end(), engine) == engines.end()) {
     return Status::NotFound("planner knows no engine named \"" + engine +
                             "\"");

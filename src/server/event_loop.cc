@@ -57,8 +57,8 @@ void EventLoop::SetTick(std::function<void()> tick, int interval_ms) {
   tick_interval_ms_ = interval_ms > 0 ? interval_ms : -1;
 }
 
-void EventLoop::SetAfterPosted(std::function<void()> after_posted) {
-  after_posted_ = std::move(after_posted);
+void EventLoop::SetWakeHandler(std::function<void()> on_wake) {
+  on_wake_ = std::move(on_wake);
 }
 
 void EventLoop::RequestStop() {
@@ -70,14 +70,10 @@ void EventLoop::RequestStop() {
   // A full pipe still wakes the loop; a closed loop no longer cares.
 }
 
-void EventLoop::Post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(post_mutex_);
-    posted_.push_back(std::move(fn));
-  }
+void EventLoop::Wake() {
   // Any non-'q' byte wakes the loop without stopping it. A full pipe is
-  // fine: the loop drains posted_ wholesale every iteration anyway.
-  const char byte = 'p';
+  // fine: its unread bytes wake the loop anyway.
+  const char byte = 'w';
   [[maybe_unused]] ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
@@ -105,12 +101,14 @@ void EventLoop::Run() {
       return;  // unrecoverable poll failure; the owner tears down
     }
 
+    bool woken = false;
     if ((pollfds[0].revents & POLLIN) != 0) {
       char buffer[64];
       ssize_t got;
       while ((got = ::read(wake_read_fd_, buffer, sizeof buffer)) > 0) {
         for (ssize_t i = 0; i < got; ++i) {
-          if (buffer[i] == 'q') stop_ = true;
+          stop_ |= buffer[i] == 'q';
+          woken |= buffer[i] != 'q';
         }
       }
     }
@@ -127,16 +125,10 @@ void EventLoop::Run() {
       it->second.handler(pollfds[static_cast<size_t>(i)].revents);
     }
 
-    // Posted callbacks run after fd dispatch, in post order. Swap the
-    // vector out under the lock so callbacks (which may Post again)
-    // never run holding it.
-    std::vector<std::function<void()>> posted;
-    {
-      std::lock_guard<std::mutex> lock(post_mutex_);
-      posted.swap(posted_);
-    }
-    for (auto& fn : posted) fn();
-    if (!posted.empty() && after_posted_) after_posted_();
+    // The wake handler runs after fd dispatch. A Wake() after the read
+    // above leaves its byte in the pipe, so the next poll returns at
+    // once and no wake is lost.
+    if (woken && on_wake_) on_wake_();
 
     // The tick runs after dispatch so I/O progress handlers just made
     // (activity timestamps, reaps) is visible to it.

@@ -3,7 +3,8 @@
 
 /// \file
 /// A minimal poll(2) reactor for the dissemination server: one thread,
-/// non-blocking fds, a self-wake pipe for cross-thread stop requests.
+/// non-blocking fds, a self-wake pipe for cross-thread wakes and stop
+/// requests.
 ///
 /// Interest is *pulled*, not registered: each entry supplies an
 /// InterestFn returning the POLLIN/POLLOUT mask it currently wants, and
@@ -15,15 +16,13 @@
 /// entries or Remove() any entry — including their own — during
 /// dispatch; removal is deferred to the end of the dispatch round, so
 /// the handler object currently executing is never destroyed under
-/// itself. Run()/Add()/Remove() are loop-thread-only; RequestStop() is
-/// safe from any thread.
+/// itself. Run()/Add()/Remove() are loop-thread-only; Wake() and
+/// RequestStop() are safe from any thread.
 
 #include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include <poll.h>
 
@@ -70,27 +69,23 @@ class EventLoop {
   /// idempotent.
   void RequestStop();
 
-  /// Queues `fn` to run on the loop thread (after the fd dispatch of
-  /// the iteration that picks it up) and wakes the loop with one byte
-  /// on the pipe. Thread-safe; callbacks run in post order. Callbacks
-  /// posted before Run() returns are executed or discarded with the
-  /// loop — they must not assume they run.
+  /// Wakes the loop with one byte on the pipe: the iteration that reads
+  /// it runs the wake handler once, after its fd dispatch, however many
+  /// wakes it read. Thread-safe. A wake still unread when Run()
+  /// returns is dropped with the loop.
   ///
-  /// Each call costs a closure and a write(2), so a producer with many
-  /// small results should not post one per result. The pipelined server
-  /// shows the pattern: pool workers append plain records to one
-  /// mailbox under a mutex, and only the record that finds it empty
-  /// posts a drain, so the loop wakes once per transition from empty to
-  /// non-empty and routes the whole batch. Its DOC_DONE routing table
-  /// is rebuilt only when the subscriptions or their owners change (see
-  /// server.cc).
-  void Post(std::function<void()> fn);
+  /// The loop carries no data across threads: a producer keeps its own
+  /// queue, and the handler drains it. The pipelined server shows the
+  /// pattern: pool workers append plain records to one mailbox under a
+  /// mutex, and only the record that finds it empty wakes the loop, so
+  /// the loop wakes once per transition from empty to non-empty and
+  /// routes the whole batch. Its DOC_DONE routing table is rebuilt only
+  /// when the subscriptions or their owners change (see server.cc).
+  void Wake();
 
-  /// Installs a callback run on the loop thread after each batch of
-  /// posted callbacks (once per iteration that ran any), so work the
-  /// batch produced is finished once for the whole batch. Set before
-  /// Run().
-  void SetAfterPosted(std::function<void()> after_posted);
+  /// Installs the callback Wake() schedules on the loop thread. Set
+  /// before Run().
+  void SetWakeHandler(std::function<void()> on_wake);
 
  private:
   EventLoop(int wake_read_fd, int wake_write_fd);
@@ -105,12 +100,9 @@ class EventLoop {
   const int wake_write_fd_;
   std::map<int, Entry> entries_;
   std::function<void()> tick_;
-  std::function<void()> after_posted_;
+  std::function<void()> on_wake_;
   int tick_interval_ms_ = -1;  // -1: no tick; poll blocks indefinitely
   bool stop_ = false;  // loop thread only; cross-thread stop via the pipe
-
-  std::mutex post_mutex_;  // guards posted_ (the only cross-thread state)
-  std::vector<std::function<void()>> posted_;
 };
 
 }  // namespace xpstream

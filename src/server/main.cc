@@ -100,10 +100,10 @@ int main(int argc, char** argv) {
       options.max_frame_bytes = static_cast<size_t>(number);
     } else if (arg == "--max-element-depth") {
       if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
-      options.max_element_depth = static_cast<size_t>(number);
+      options.engine.max_element_depth = static_cast<size_t>(number);
     } else if (arg == "--max-entity-expansion-bytes") {
       if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
-      options.max_entity_expansion_bytes = static_cast<size_t>(number);
+      options.engine.max_entity_expansion_bytes = static_cast<size_t>(number);
     } else if (arg == "--pipeline-workers") {
       if (!ParseUnsigned(value, SIZE_MAX, &number)) return Usage(argv[0]);
       options.pipeline_workers = static_cast<size_t>(number);
@@ -136,10 +136,6 @@ int main(int argc, char** argv) {
     }
     ++i;
   }
-  // A subscription committed mid-document needs no more events. (The
-  // server itself turns off the per-document verdict history.)
-  options.engine.short_circuit = true;
-
   if (::pipe(g_signal_pipe) != 0) {
     std::perror("pipe");
     return 1;

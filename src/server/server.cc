@@ -46,10 +46,11 @@ struct PendingDoc {
   size_t bytes = 0;
   double parse_seconds = 0;  // loop-thread time spent in Feed/Finish
 
-  PendingDoc(size_t max_depth, size_t entity_cap)
+  /// A parser enforcing `engine`'s depth and entity-expansion caps.
+  explicit PendingDoc(const EngineOptions& engine)
       : parser(&sink, ParserOptions(&events.arena())) {
-    parser.SetMaxElementDepth(max_depth);
-    parser.SetMaxEntityExpansionBytes(entity_cap);
+    parser.SetMaxElementDepth(engine.max_element_depth);
+    parser.SetMaxEntityExpansionBytes(engine.max_entity_expansion_bytes);
   }
 
  private:
@@ -111,18 +112,9 @@ class Server::Impl : public SessionHost {
 
   Status Start() {
     EngineOptions engine_options = options_.engine;
-    if (engine_options.max_element_depth == 0) {
-      engine_options.max_element_depth = options_.max_element_depth;
-    }
-    if (engine_options.max_entity_expansion_bytes == 0) {
-      engine_options.max_entity_expansion_bytes =
-          options_.max_entity_expansion_bytes;
-    }
     // A service's document stream is unbounded and nothing reads the
     // per-document verdict history, so neither executor keeps one.
     engine_options.keep_history = false;
-    effective_depth_ = engine_options.max_element_depth;
-    effective_entity_cap_ = engine_options.max_entity_expansion_bytes;
 
     auto loop = EventLoop::Create();
     if (!loop.ok()) return loop.status();
@@ -145,7 +137,10 @@ class Server::Impl : public SessionHost {
     }
 
     XPS_RETURN_IF_ERROR(Listen());
-    loop_->SetAfterPosted([this] { FlushPushes(nullptr); });
+    loop_->SetWakeHandler([this] {
+      RoutePoolResults();
+      FlushPushes(nullptr);
+    });
     loop_->Add(
         listen_fd_, [] { return static_cast<short>(POLLIN); },
         [this](short) { AcceptConnections(); });
@@ -262,10 +257,9 @@ class Server::Impl : public SessionHost {
     // the wire). It aborts internally on failure.
     Status status = engine_->FinishDocument();
     FlushDeferredUnsubs();
-    const uint64_t doc = engine_->documents_seen() - 1;
     FlushPushes(session);
     if (!status.ok()) return status;
-    return doc;
+    return done_doc_;  // the index the document's own DOC_DONE carried
   }
 
   Status OnCompact(Session*) override {
@@ -359,6 +353,7 @@ class Server::Impl : public SessionHost {
     }
     void OnDocumentDone(size_t doc,
                         const std::vector<bool>& verdicts) override {
+      impl->done_doc_ = doc;
       impl->PushDocDone(impl->engine_->subscription_ids(), doc, verdicts);
     }
     Impl* impl;
@@ -368,13 +363,13 @@ class Server::Impl : public SessionHost {
   /// worker threads and append plain records to one mailbox: no
   /// closure, no snapshot copy per MATCH (its wire id is read from the
   /// immutable snapshot on the worker) and, once the vectors have grown,
-  /// no allocation. Only the record that finds the mailbox empty posts
-  /// a drain, with one wake byte; later records ride that drain. No
+  /// no allocation. Only the record that finds the mailbox empty wakes
+  /// the loop, with one byte; later records ride that wake's drain. No
   /// record is stranded: the drain empties the mailbox under the same
-  /// mutex, so a record lands either before the swap, and the posted
-  /// drain takes it, or after it, and posts the next drain. One worker
-  /// appends all of a document's records in order, so its MATCHes still
-  /// precede its DOC_DONE.
+  /// mutex, so a record lands either before the swap, and the drain
+  /// takes it, or after it, and wakes the loop for the next drain. One
+  /// worker appends all of a document's records in order, so its
+  /// MATCHes still precede its DOC_DONE.
   struct PoolBridge : PoolSink {
     explicit PoolBridge(Impl* impl) : impl(impl) {}
     void OnMatch(uint64_t doc, size_t sub, size_t ordinal,
@@ -407,10 +402,7 @@ class Server::Impl : public SessionHost {
         }
         mailbox.results.push_back(result);
       }
-      if (first) {
-        Impl* server = impl;
-        server->loop_->Post([server] { server->RoutePoolResults(); });
-      }
+      if (first) impl->loop_->Wake();
     }
 
     Impl* impl;
@@ -418,10 +410,10 @@ class Server::Impl : public SessionHost {
     PoolMailbox mailbox;  // guarded by mutex
   };
 
-  /// Loop thread: takes every record in the pool mailbox and routes
-  /// them in order. The loop's after-posted FlushPushes then sends once
-  /// for the whole batch. Both vectors keep their capacity across the
-  /// swap, so a steady stream of results allocates nothing.
+  /// Loop thread, from the wake handler: takes every record in the
+  /// pool mailbox and routes them in order; the handler then flushes
+  /// once for the whole batch. Both vectors keep their capacity across
+  /// the swap, so a steady stream of results allocates nothing.
   void RoutePoolResults() {
     {
       std::lock_guard<std::mutex> lock(pool_sink_.mutex);
@@ -450,8 +442,7 @@ class Server::Impl : public SessionHost {
     auto it = pending_.find(session);
     if (it == pending_.end()) {
       it = pending_
-               .emplace(session, std::make_unique<PendingDoc>(
-                                     effective_depth_, effective_entity_cap_))
+               .emplace(session, std::make_unique<PendingDoc>(options_.engine))
                .first;
     }
     PendingDoc& pending = *it->second;
@@ -757,11 +748,6 @@ class Server::Impl : public SessionHost {
   }
 
   const ServerOptions options_;
-  /// Effective depth / entity-expansion caps (engine-level option, or
-  /// the server-level overlay) — enforced by the loop-thread parser on
-  /// the pipelined ingest path.
-  size_t effective_depth_ = 0;
-  size_t effective_entity_cap_ = 0;
   /// The executors' sinks. Declared before engine_ and pool_, so they
   /// outlive both: the pool joins the workers that call into
   /// pool_sink_ before it goes.
@@ -770,7 +756,7 @@ class Server::Impl : public SessionHost {
   std::unique_ptr<Engine> engine_;  // serial mode (pipeline_workers = 1)
   std::unique_ptr<EventLoop> loop_;
   /// Pipelined mode. Declared after loop_: destroyed first, joining
-  /// the worker threads that Post() into the loop before it goes.
+  /// the worker threads that Wake() the loop before it goes.
   std::unique_ptr<EnginePool> pool_;
   int listen_fd_ = -1;
   int spare_fd_ = -1;  // EMFILE reserve; see AcceptConnections
@@ -816,6 +802,9 @@ class Server::Impl : public SessionHost {
   PoolMailbox drained_;
   uint32_t next_wire_id_ = 1;
   uint64_t next_session_id_ = 1;
+  /// Serial mode: the index of the last completed document's DOC_DONE,
+  /// which its DOC_OK repeats.
+  uint64_t done_doc_ = 0;
   Session* publisher_ = nullptr;  // connection feeding the open document
   bool publisher_seen_ = false;   // any document ever opened (STATS)
   size_t doc_bytes_ = 0;          // its cumulative chunk bytes

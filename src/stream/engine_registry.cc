@@ -1,8 +1,10 @@
 #include "stream/engine_registry.h"
 
+#include "stream/frontier_filter.h"
 #include "stream/lazy_dfa_filter.h"
 #include "stream/naive_filter.h"
 #include "stream/nfa_filter.h"
+#include "stream/nfa_index.h"
 
 namespace xpstream {
 
@@ -24,15 +26,8 @@ std::unique_ptr<Matcher> NewFilterBank(const std::string& name,
       symbols);
 }
 
-}  // namespace
-
-Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
-                                               SymbolTable* symbols) {
-  if (name == "frontier") return NewFrontierMatcher(symbols);
-  if (name == "lazy_dfa") return NewFilterBank<LazyDfaFilter>(name, symbols);
-  if (name == "naive") return NewFilterBank<NaiveTreeFilter>(name, symbols);
-  if (name == "nfa") return NewFilterBank<NfaFilter>(name, symbols);
-  if (name == "nfa_index") return NewNfaIndexMatcher(symbols);
+/// The error for an engine name outside the table.
+Status UnknownEngine(const std::string& name) {
   std::string known;
   for (const std::string& known_name : EngineNames()) {
     if (!known.empty()) known += ", ";
@@ -42,8 +37,31 @@ Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
                           known + ")");
 }
 
-std::vector<std::string> EngineNames() {
-  return {"frontier", "lazy_dfa", "naive", "nfa", "nfa_index"};
+}  // namespace
+
+Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
+                                               SymbolTable* symbols) {
+  if (name == "frontier") return NewFrontierMatcher(symbols);
+  if (name == "lazy_dfa") return NewFilterBank<LazyDfaFilter>(name, symbols);
+  if (name == "naive") return NewFilterBank<NaiveTreeFilter>(name, symbols);
+  if (name == "nfa") return NewFilterBank<NfaFilter>(name, symbols);
+  if (name == "nfa_index") return NewNfaIndexMatcher(symbols);
+  return UnknownEngine(name);
+}
+
+Status CheckEngineSupports(const std::string& name, const Query& query) {
+  if (name == "frontier") return FrontierFilter::CheckFragment(query);
+  if (name == "lazy_dfa") return LazyDfaFilter::CheckFragment(query);
+  if (name == "naive") return Status::OK();
+  if (name == "nfa") return NfaFilter::CheckFragment(query);
+  if (name == "nfa_index") return NfaIndex::CheckFragment(query);
+  return UnknownEngine(name);
+}
+
+const std::vector<std::string>& EngineNames() {
+  static const std::vector<std::string> kNames = {
+      "nfa", "lazy_dfa", "nfa_index", "frontier", "naive"};
+  return kNames;
 }
 
 }  // namespace xpstream

@@ -24,8 +24,17 @@ namespace xpstream {
 Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
                                                SymbolTable* symbols = nullptr);
 
-/// The built-in engine names, sorted.
-std::vector<std::string> EngineNames();
+/// The fragment gate of the built-in engine `name`: OK when its matcher
+/// accepts `query`, else the kUnsupported its Subscribe returns. Each
+/// engine states its gate once, in a static CheckFragment that its own
+/// subscribe path calls first; "naive" accepts every query. kNotFound
+/// for any other name. The planner's `supported` column is this call.
+Status CheckEngineSupports(const std::string& name, const Query& query);
+
+/// The built-in engine names, in the planner's tie-break order: the
+/// automaton stacks are the leanest structures, the frontier table
+/// next, tree building last.
+const std::vector<std::string>& EngineNames();
 
 /// The nfa_index engine's matcher, defined next to the index it drives
 /// (stream/nfa_index.cc).

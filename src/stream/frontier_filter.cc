@@ -61,7 +61,7 @@ std::string FrontierFilter::ShapeKey(const Query& query) {
   return key;
 }
 
-Status FrontierFilter::CompileMember(const Query& query) {
+Status FrontierFilter::CheckFragment(const Query& query) {
   std::string reason;
   if (!IsConjunctive(query, &reason) || !IsUnivariate(query, &reason)) {
     return Status::Unsupported("FrontierFilter requires a univariate "
@@ -73,6 +73,11 @@ Status FrontierFilter::CompileMember(const Query& query) {
         "FrontierFilter requires a leaf-only-value-restricted query: " +
         reason);
   }
+  return Status::OK();
+}
+
+Status FrontierFilter::CompileMember(const Query& query) {
+  XPS_RETURN_IF_ERROR(CheckFragment(query));
   auto truths = TruthSetMap::Build(query);
   if (!truths.ok()) return truths.status();
   // Equal shape keys make the pre-order node ids line up.
@@ -711,8 +716,7 @@ namespace {
 
 /// The frontier engine: one FrontierFilter walk per query shape, each
 /// serving up to kMaxMembers subscriptions (implementation note 6).
-/// Verdicts, decided positions and sink reports equal those of a bank
-/// of one-member filters.
+/// Its sink reports equal those of a bank of one-member filters.
 class FrontierMatcher : public Matcher {
  public:
   explicit FrontierMatcher(SymbolTable* symbols) { BindSymbols(symbols); }
@@ -722,7 +726,6 @@ class FrontierMatcher : public Matcher {
   Status Unsubscribe(size_t slot) override;
   size_t NumSubscriptions() const override { return slots_.size(); }
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
-  Result<std::vector<bool>> Verdicts() const override;
   const MemoryStats& stats() const override;
 
  private:
@@ -733,9 +736,6 @@ class FrontierMatcher : public Matcher {
     std::vector<size_t> slots;  ///< member -> slot
     /// Members reported as matched in the current document.
     MemberMask reported = 0;
-    /// Left the current document's scan under the cut: every live
-    /// member had committed.
-    bool cut = false;
   };
 
   /// Where a slot runs.
@@ -803,7 +803,6 @@ Status FrontierMatcher::OnSymbolizedEvent(const Event& event,
     fed_.clear();
     for (size_t w = 0; w < walks_.size(); ++w) {
       walks_[w].reported = 0;
-      walks_[w].cut = false;
       if (walks_[w].filter->live_members() != 0) fed_.push_back(w);
     }
   }
@@ -833,7 +832,6 @@ Status FrontierMatcher::OnSymbolizedEvent(const Event& event,
     if (short_circuit_ && !at_end && walk.reported == live) {
       // The cut: no live member's verdict can change, so the walk sees
       // no further events of this document.
-      walk.cut = true;
       fed_.erase(fed_.begin() + static_cast<ptrdiff_t>(i));
       continue;
     }
@@ -847,25 +845,6 @@ Status FrontierMatcher::OnSymbolizedEvent(const Event& event,
     }
   }
   return Status::OK();
-}
-
-Result<std::vector<bool>> FrontierMatcher::Verdicts() const {
-  std::vector<bool> verdicts(slots_.size(), false);  // tombstones read false
-  for (const Walk& walk : walks_) {
-    if (walk.filter->live_members() == 0) continue;  // never fed
-    // A cut walk never saw endDocument; each of its live members
-    // committed, and a commitment is a match.
-    MemberMask matched = walk.reported;
-    if (!walk.cut) {
-      auto members = walk.filter->MatchedMembers();
-      if (!members.ok()) return members.status();
-      matched = *members & walk.filter->live_members();
-    }
-    for (MemberMask rest = matched; rest != 0; rest &= rest - 1) {
-      verdicts[walk.slots[static_cast<size_t>(__builtin_ctzll(rest))]] = true;
-    }
-  }
-  return verdicts;
 }
 
 const MemoryStats& FrontierMatcher::stats() const {

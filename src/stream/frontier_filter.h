@@ -112,6 +112,12 @@ class FrontierFilter : public StreamFilter {
   /// The most members one walk serves: the width of a MemberMask.
   static constexpr size_t kMaxMembers = 64;
 
+  /// The engine's fragment gate, stated once: OK for a query of the
+  /// §8 fragment (conjunctive, univariate, leaf-only value-restricted),
+  /// kUnsupported otherwise. CompileMember calls it first, for every
+  /// member; so does the planner's support check.
+  static Status CheckFragment(const Query& query);
+
   /// Validates the fragment and builds per-node metadata, resolving
   /// each node's test to a Symbol in `symbols` (the pipeline's shared
   /// table; nullptr = a private one), so candidate selection is integer
@@ -211,7 +217,7 @@ class FrontierFilter : public StreamFilter {
     size_t start;         ///< offset into buffer_
   };
 
-  /// Checks the fragment, then appends `query`'s compiled value tests
+  /// Runs CheckFragment, then appends `query`'s compiled value tests
   /// as the next member's.
   Status CompileMember(const Query& query);
 

@@ -8,24 +8,33 @@
 
 namespace xpstream {
 
-Result<std::unique_ptr<LazyDfaFilter>> LazyDfaFilter::Create(
-    const Query* query, SymbolTable* symbols) {
-  if (!IsLinearPathQuery(*query)) {
+Status LazyDfaFilter::CheckFragment(const Query& query) {
+  if (!IsLinearPathQuery(query)) {
     return Status::Unsupported(
         "LazyDfaFilter supports linear path queries (no predicates) only");
   }
-  // Validate the whole chain before touching the shared table: a
-  // rejected query must not leave its names interned engine-wide.
-  std::vector<const QueryNode*> chain;
-  for (const QueryNode* n = query->root()->successor(); n != nullptr;
+  for (const QueryNode* n = query.root()->successor(); n != nullptr;
        n = n->successor()) {
     if (n->axis() == Axis::kAttribute) {
       return Status::Unsupported("LazyDfaFilter does not support '@' steps");
     }
-    chain.push_back(n);
   }
-  if (chain.size() > 63) {
+  // A linear path's nodes are its root and one node per step.
+  if (query.size() - 1 > 63) {
     return Status::Unsupported("LazyDfaFilter supports at most 63 steps");
+  }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<LazyDfaFilter>> LazyDfaFilter::Create(
+    const Query* query, SymbolTable* symbols) {
+  // Gate the whole query before touching the shared table: a rejected
+  // query must not leave its names interned engine-wide.
+  XPS_RETURN_IF_ERROR(CheckFragment(*query));
+  std::vector<const QueryNode*> chain;
+  for (const QueryNode* n = query->root()->successor(); n != nullptr;
+       n = n->successor()) {
+    chain.push_back(n);
   }
   auto filter = std::unique_ptr<LazyDfaFilter>(new LazyDfaFilter());
   filter->BindSymbols(symbols);

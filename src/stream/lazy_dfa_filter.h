@@ -35,9 +35,15 @@ namespace xpstream {
 
 class LazyDfaFilter : public StreamFilter {
  public:
-  /// Requires IsLinearPathQuery(*query) with at most 63 steps. Node
-  /// tests resolve to Symbols in `symbols` (the pipeline's shared
-  /// table; nullptr = a private one) at creation.
+  /// The engine's fragment gate, stated once: OK for a linear path
+  /// (IsLinearPathQuery) of at most 63 steps with no '@' step,
+  /// kUnsupported otherwise. Create calls it first; so does the
+  /// planner's support check.
+  static Status CheckFragment(const Query& query);
+
+  /// Requires CheckFragment(*query). Node tests resolve to Symbols in
+  /// `symbols` (the pipeline's shared table; nullptr = a private one)
+  /// at creation.
   static Result<std::unique_ptr<LazyDfaFilter>> Create(
       const Query* query, SymbolTable* symbols = nullptr);
 

@@ -30,7 +30,7 @@ Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
     // Member filters reset themselves on startDocument; so does the
     // decision bookkeeping. Tombstoned slots are not fed (they can
     // never report).
-    decided_.assign(filters_.size(), kLive);
+    decided_.assign(filters_.size(), 0);
     fed_.clear();
     for (size_t slot = 0; slot < filters_.size(); ++slot) {
       if (filters_[slot] != nullptr) fed_.push_back(slot);
@@ -44,52 +44,28 @@ Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
     StreamFilter* filter = filters_[slot].get();
     XPS_RETURN_IF_ERROR(filter->OnSymbolizedEvent(event, name_sym));
     const size_t position =
-        decided_[slot] == kLive ? filter->DecidedAt() : kNoEventOrdinal;
+        decided_[slot] != 0 ? kNoEventOrdinal : filter->DecidedAt();
     if (position != kNoEventOrdinal) {
+      decided_[slot] = 1;
+      // Mid-document a decided verdict is always a match. At
+      // endDocument the remaining filters decide, false or true.
+      bool matched = true;
       if (at_end) {
-        // At endDocument the remaining filters decide, false or true.
-        decided_[slot] = kSettled;
-        if (sink_ != nullptr) {
-          auto verdict = filter->Matched();
-          if (verdict.ok() && *verdict) sink_->OnSlotMatched(slot, position);
-        }
-      } else {
-        // Mid-document a decided verdict is always a match.
-        decided_[slot] = kCommitted;
-        if (sink_ != nullptr) sink_->OnSlotMatched(slot, position);
-        if (short_circuit_) {
-          // The cut: the verdict cannot change, so the slot sees no
-          // further events of this document.
-          fed_.erase(fed_.begin() + i);
-          continue;
-        }
+        auto verdict = filter->Matched();
+        if (!verdict.ok()) return verdict.status();
+        matched = *verdict;
+      }
+      if (matched && sink_ != nullptr) sink_->OnSlotMatched(slot, position);
+      if (short_circuit_ && !at_end) {
+        // The cut: the verdict cannot change, so the slot sees no
+        // further events of this document.
+        fed_.erase(fed_.begin() + i);
+        continue;
       }
     }
     ++i;
   }
   return Status::OK();
-}
-
-Result<std::vector<bool>> FilterBankMatcher::Verdicts() const {
-  std::vector<bool> verdicts;
-  verdicts.reserve(filters_.size());
-  for (size_t slot = 0; slot < filters_.size(); ++slot) {
-    const StreamFilter* filter = filters_[slot].get();
-    if (filter == nullptr) {
-      verdicts.push_back(false);  // tombstoned slots never match
-      continue;
-    }
-    if (short_circuit_ && decided_[slot] == kCommitted) {
-      // Cut at its commitment: the filter never saw endDocument, and
-      // a mid-document decision is a match.
-      verdicts.push_back(true);
-      continue;
-    }
-    auto verdict = filter->Matched();
-    if (!verdict.ok()) return verdict.status();
-    verdicts.push_back(*verdict);
-  }
-  return verdicts;
 }
 
 const MemoryStats& FilterBankMatcher::stats() const {

@@ -5,8 +5,10 @@
 /// The single subscription model behind the public Engine facade. A
 /// Matcher answers BOOLEVAL for a *set* of subscriptions over one
 /// document stream at a time: subscriptions are registered under dense
-/// slots, the document arrives as SAX events, and after endDocument the
-/// matcher reports one verdict per slot plus uniform MemoryStats.
+/// slots, the document arrives as SAX events, and each slot that matches
+/// is reported once through the MatchSink; a slot not reported by the
+/// end of endDocument did not match. Every matcher keeps uniform
+/// MemoryStats.
 ///
 /// Three families implement the interface:
 ///  * FilterBankMatcher — one StreamFilter per subscription sharing a
@@ -34,14 +36,14 @@ namespace xpstream {
 
 class Query;  // xpath/ast.h
 
-/// Push-notification interface of the matcher layer: as the scan
+/// The one channel through which verdicts leave a matcher: as the scan
 /// proceeds, the matcher reports each subscription slot whose verdict
 /// became provably decided *true*, together with the 0-based event
-/// ordinal of the deciding event (startDocument = 0). Verdicts are
-/// monotone, so a slot is reported at most once per document; false
-/// verdicts are never reported (they only decide at endDocument and are
-/// read from Verdicts()). Reports arrive in nondecreasing ordinal
-/// order, ascending slot within one ordinal.
+/// ordinal of the deciding event (startDocument = 0), endDocument
+/// included. Verdicts are monotone, so a slot is reported at most once
+/// per document, and a slot not reported by the end of endDocument did
+/// not match. Reports arrive in nondecreasing ordinal order, ascending
+/// slot within one ordinal.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -67,27 +69,26 @@ class Matcher {
   virtual Status Subscribe(size_t slot, const Query* query) = 0;
 
   /// Tombstones the subscription in `slot`: the slot stops evaluating
-  /// (its verdict reads false, its decided position kNoEventOrdinal)
-  /// but stays allocated, so live slots keep their numbers, verdict
-  /// vectors keep their width, and — crucially — no automaton is
-  /// rebuilt and no in-flight document state is invalidated. Must not
-  /// be called between startDocument and endDocument (the facade
-  /// enforces this). Reclaiming tombstoned capacity is the caller's
-  /// deferred-compaction decision (the facade rebuilds into a fresh
-  /// matcher in a maintenance window, never on the Unsubscribe path).
+  /// (it is never reported again, so it reads as a non-match) but stays
+  /// allocated, so live slots keep their numbers and — crucially — no
+  /// automaton is rebuilt and no in-flight document state is
+  /// invalidated. Must not be called between startDocument and
+  /// endDocument (the facade enforces this). Reclaiming tombstoned
+  /// capacity is the caller's deferred-compaction decision (the facade
+  /// rebuilds into a fresh matcher in a maintenance window, never on
+  /// the Unsubscribe path).
   virtual Status Unsubscribe(size_t slot) = 0;
 
-  /// Total slots ever subscribed, including tombstoned ones (the width
-  /// of Verdicts() and the next dense Subscribe slot).
+  /// Total slots ever subscribed, including tombstoned ones (the next
+  /// dense Subscribe slot).
   virtual size_t NumSubscriptions() const = 0;
 
   /// The per-slot commitment cut behind EngineOptions::short_circuit:
   /// once a slot's verdict is committed mid-document (decided means
   /// matched), the matcher may stop feeding it the rest of that
-  /// document. Verdicts, decided positions and sink reports stay those
-  /// of a full scan; per-slot gauges stop at the commitment, so peaks
-  /// are at most a full scan's. Off by default. Must not be called
-  /// between startDocument and endDocument.
+  /// document. Sink reports stay those of a full scan; per-slot gauges
+  /// stop at the commitment, so peaks are at most a full scan's. Off by
+  /// default. Must not be called between startDocument and endDocument.
   void EnableShortCircuit(bool on) { short_circuit_ = on; }
 
   /// Feeds the next SAX event — the per-event hot path. `name_sym` is
@@ -102,10 +103,6 @@ class Matcher {
   /// pipeline table bound at creation (shared with the parser), or a
   /// private one when created standalone.
   SymbolTable* symbols() { return symbols_.get(); }
-
-  /// Per-slot verdicts; valid only after endDocument was consumed.
-  /// Decided positions reach the owner through the MatchSink.
-  virtual Result<std::vector<bool>> Verdicts() const = 0;
 
   /// Memory accounting for the current/most recent document. For a
   /// filter bank this is the sum over member filters, for the frontier
@@ -148,23 +145,15 @@ class FilterBankMatcher : public Matcher {
   Status Unsubscribe(size_t slot) override;
   size_t NumSubscriptions() const override { return filters_.size(); }
   Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override;
-  Result<std::vector<bool>> Verdicts() const override;
   const MemoryStats& stats() const override;
 
  private:
-  /// Per-slot decision state within the current document.
-  enum : uint8_t {
-    kLive = 0,       ///< verdict still open
-    kCommitted = 1,  ///< decided mid-document: a match (the cut point)
-    kSettled = 2,    ///< decided at endDocument
-  };
-
   std::string name_;
   FilterFactory factory_;
   /// Member filters by slot; a null entry is a tombstoned slot
   /// (unsubscribed — it evaluates nothing and reads as a non-match).
   std::vector<std::unique_ptr<StreamFilter>> filters_;
-  std::vector<uint8_t> decided_;  ///< per-slot decision state (enum above)
+  std::vector<uint8_t> decided_;  ///< per slot: decided in the current document
   /// Slots the current document still feeds, ascending: every live
   /// slot at document start (Unsubscribe is barred mid-document), minus
   /// those the cut removed at their commitment.

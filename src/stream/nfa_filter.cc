@@ -15,21 +15,27 @@ bool IsLinearPathQuery(const Query& query) {
   return true;
 }
 
-Result<std::unique_ptr<NfaFilter>> NfaFilter::Create(const Query* query,
-                                                     SymbolTable* symbols) {
-  if (!IsLinearPathQuery(*query)) {
+Status NfaFilter::CheckFragment(const Query& query) {
+  if (!IsLinearPathQuery(query)) {
     return Status::Unsupported(
         "NfaFilter supports linear path queries (no predicates) only");
   }
-  // Validate the whole chain before touching the shared table: a
-  // rejected query must not leave its names interned engine-wide.
+  // A linear path's nodes are its root and one node per step.
+  if (query.size() - 1 > 63) {
+    return Status::Unsupported("NfaFilter supports at most 63 steps");
+  }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<NfaFilter>> NfaFilter::Create(const Query* query,
+                                                     SymbolTable* symbols) {
+  // Gate the whole query before touching the shared table: a rejected
+  // query must not leave its names interned engine-wide.
+  XPS_RETURN_IF_ERROR(CheckFragment(*query));
   std::vector<const QueryNode*> chain;
   for (const QueryNode* n = query->root()->successor(); n != nullptr;
        n = n->successor()) {
     chain.push_back(n);
-  }
-  if (chain.size() > 63) {
-    return Status::Unsupported("NfaFilter supports at most 63 steps");
   }
   auto filter = std::unique_ptr<NfaFilter>(new NfaFilter({}));
   filter->BindSymbols(symbols);

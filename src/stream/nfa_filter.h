@@ -24,15 +24,19 @@
 namespace xpstream {
 
 /// True when the query is a single successor chain with no predicates —
-/// the fragment NfaFilter/LazyDfaFilter support.
+/// the fragment NfaFilter, LazyDfaFilter and NfaIndex support.
 bool IsLinearPathQuery(const Query& query);
 
 class NfaFilter : public StreamFilter {
  public:
-  /// Requires IsLinearPathQuery(*query) and at most 63 steps. Node
-  /// tests are resolved to Symbols in `symbols` (the pipeline's shared
-  /// table; nullptr = a private one) at creation, so the per-event path
-  /// is integer compares only.
+  /// The engine's fragment gate, stated once: OK for a linear path
+  /// (IsLinearPathQuery) of at most 63 steps, kUnsupported otherwise.
+  /// Create calls it first; so does the planner's support check.
+  static Status CheckFragment(const Query& query);
+
+  /// Requires CheckFragment(*query). Node tests are resolved to Symbols
+  /// in `symbols` (the pipeline's shared table; nullptr = a private
+  /// one) at creation, so the per-event path is integer compares only.
   static Result<std::unique_ptr<NfaFilter>> Create(
       const Query* query, SymbolTable* symbols = nullptr);
 

@@ -70,17 +70,22 @@ int NfaIndex::DdState(int from) {
   return states_[static_cast<size_t>(from)].dd_state;
 }
 
-Status NfaIndex::AddQuery(size_t id, const Query& query) {
+Status NfaIndex::CheckFragment(const Query& query) {
   if (!IsLinearPathQuery(query)) {
     return Status::Unsupported(
         "NfaIndex supports linear path queries (no predicates) only");
   }
-  int current = 0;
-  const QueryNode* step = query.root()->successor();
-  if (step == nullptr) {
+  if (query.root()->successor() == nullptr) {
     return Status::Unsupported("query has no steps");
   }
-  for (; step != nullptr; step = step->successor()) {
+  return Status::OK();
+}
+
+Status NfaIndex::AddQuery(size_t id, const Query& query) {
+  XPS_RETURN_IF_ERROR(CheckFragment(query));
+  int current = 0;
+  for (const QueryNode* step = query.root()->successor(); step != nullptr;
+       step = step->successor()) {
     switch (step->axis()) {
       case Axis::kChild:
         current = ChildTarget(current, step->ntest());
@@ -310,15 +315,6 @@ class NfaIndexMatcher : public Matcher {
   void SetSink(MatchSink* sink) override {
     sink_ = sink;
     run_.SetSink(sink);  // slots map 1:1 onto index query ids
-  }
-
-  Result<std::vector<bool>> Verdicts() const override {
-    auto verdicts = run_.Verdicts();
-    if (!verdicts.ok()) return verdicts.status();
-    // The run sizes verdicts by max query id + 1; trim the placeholder
-    // entry of a subscription-free index.
-    verdicts->resize(subscriptions_);
-    return verdicts;
   }
 
   const MemoryStats& stats() const override { return run_.stats(); }

@@ -48,9 +48,15 @@ class NfaIndex {
   /// The table query node tests and document names resolve against.
   SymbolTable* symbols() { return symbols_.get(); }
 
-  /// Registers a linear path query (no predicates) under a caller-chosen
+  /// The engine's fragment gate, stated once: OK for a linear path
+  /// (IsLinearPathQuery) of at least one step, of any length,
+  /// kUnsupported otherwise. AddQuery calls it first; so does the
+  /// planner's support check.
+  static Status CheckFragment(const Query& query);
+
+  /// Registers a query that passes CheckFragment under a caller-chosen
   /// id. ids must be dense-ish small integers (they size the verdict
-  /// vector). Fails with kUnsupported for twig queries.
+  /// vector).
   Status AddQuery(size_t id, const Query& query);
 
   /// Removes every acceptance of query `id` (one O(states) sweep over

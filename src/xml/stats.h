@@ -79,7 +79,8 @@ class DocumentStatsCollector {
 /// realistic document; deployments expecting hostile input should
 /// assert larger maxima (EngineOptions::assumed_profile) so admission
 /// control prices subscriptions against the worst document they may
-/// legally receive (the caps in ServerOptions bound that worst case).
+/// legally receive (the caps in ServerOptions::engine bound that worst
+/// case).
 struct DocumentProfile {
   size_t documents = 0;          ///< Documents folded in; 0 = assumed only.
   size_t max_depth = 16;         ///< Deepest element nesting seen.

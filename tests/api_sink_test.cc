@@ -519,5 +519,27 @@ TEST(ApiSinkTest, DocIndicesAndDetach) {
   EXPECT_EQ((*engine)->documents_seen(), 3u);
 }
 
+// Every startDocument takes the next index, so a kEarliest match pushed
+// before an abort never shares its index with the next document's.
+TEST(ApiSinkTest, AbortedDocumentIndexIsNeverReused) {
+  auto engine = Engine::Create("frontier");
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(
+      (*engine)->Subscribe("q", "//b", DeliveryMode::kEarliest).ok());
+  RecordingSink sink;
+  (*engine)->SetSink(&sink);
+  // The prefix commits //b at <b> (ordinal 2); then the document goes.
+  ASSERT_TRUE((*engine)->Feed("<a><b>half-open").ok());
+  ASSERT_EQ(sink.matches.size(), 1u);
+  (*engine)->AbortDocument();
+  ASSERT_TRUE((*engine)->FilterXml("<a><b/></a>").ok());
+  ASSERT_EQ(sink.matches.size(), 2u);
+  EXPECT_EQ(sink.matches[0], std::make_tuple(size_t{0}, size_t{0}, size_t{2}));
+  EXPECT_EQ(sink.matches[1], std::make_tuple(size_t{0}, size_t{1}, size_t{2}));
+  ASSERT_EQ(sink.documents.size(), 1u);
+  EXPECT_EQ(sink.documents[0].first, 1u);
+  EXPECT_EQ((*engine)->documents_seen(), 1u);
+}
+
 }  // namespace
 }  // namespace xpstream

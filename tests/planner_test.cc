@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "workload/query_generator.h"
 #include "workload/scenarios.h"
 #include "xml/writer.h"
 #include "xpstream/planner.h"
@@ -148,6 +150,53 @@ TEST(PlannerTest, RankingIsSupportedFirstThenCheapest) {
     if (prediction.engine == "nfa" || prediction.engine == "lazy_dfa" ||
         prediction.engine == "nfa_index") {
       EXPECT_FALSE(prediction.supported) << prediction.engine;
+    }
+  }
+}
+
+// The plan's `supported` column is each engine's own fragment gate: for
+// every row of every plan, a fresh engine of that name accepts the query
+// exactly when the row says supported, and rejects it with kUnsupported
+// otherwise.
+TEST(PlannerTest, SupportedColumnIsEachEnginesOwnGate) {
+  std::vector<std::string> texts = {
+      "/a/b",      "//a/*/c",     "/a/@id",        "//a/b/@id",
+      "/a/@id/b",  "/*",          "//a//b",        "//m[h]/body",
+      "/book[price < 30]/title",  "/a[b or c]",    "/a[b = c]",
+      "//a[not(b)]", "/a[b/c > 3]/d", "//*[@x]",   "//a[@x = 1]/b"};
+  // Linear paths at and just past the automata stacks' 63-step limit.
+  for (size_t steps : {63, 64}) {
+    std::string path;
+    for (size_t i = 0; i < steps; ++i) path += "/a";
+    texts.push_back(path);
+  }
+  Random rng(109);
+  QueryGenOptions twigs;
+  twigs.max_depth = 3;
+  twigs.wildcard_prob = 0.3;
+  for (int i = 0; i < 80; ++i) {
+    auto twig = GenerateRandomQuery(&rng, twigs);
+    ASSERT_TRUE(twig.ok());
+    texts.push_back((*twig)->ToString());
+    auto path = GenerateLinearQuery(&rng, 1 + rng.Uniform(6), 0.3, 0.2, 3);
+    ASSERT_TRUE(path.ok());
+    texts.push_back((*path)->ToString());
+  }
+  const DocumentProfile profile;
+  for (const std::string& text : texts) {
+    auto query = CompileQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    for (const EnginePrediction& row : PlanQuery(*query, profile).ranking) {
+      auto engine = Engine::Create(row.engine);
+      ASSERT_TRUE(engine.ok()) << row.engine;
+      const Status status = (*engine)->Subscribe("q", text);
+      if (row.supported) {
+        EXPECT_TRUE(status.ok())
+            << row.engine << " on " << text << ": " << status.ToString();
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kUnsupported)
+            << row.engine << " on " << text << " (plan: " << row.why << ")";
+      }
     }
   }
 }

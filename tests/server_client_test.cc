@@ -113,7 +113,6 @@ TEST(ServerClientTest, ParityWithDirectEngineAllEngines) {
       ASSERT_TRUE(client.ok()) << label;
 
       EngineOptions direct_options = options.engine;
-      direct_options.max_element_depth = options.max_element_depth;
       direct_options.short_circuit = false;
       auto direct = Engine::Create(direct_options);
       ASSERT_TRUE(direct.ok()) << label;
@@ -185,9 +184,7 @@ TEST(ServerClientTest, SubscribeUnsubscribeChurnParity) {
     auto client = Client::Connect("127.0.0.1", (*server)->port());
     ASSERT_TRUE(client.ok());
 
-    EngineOptions direct_options = options.engine;
-    direct_options.max_element_depth = options.max_element_depth;
-    auto direct = Engine::Create(direct_options);
+    auto direct = Engine::Create(options.engine);
     ASSERT_TRUE(direct.ok());
     SequenceSink sink;
     (*direct)->SetSink(&sink);
@@ -313,22 +310,22 @@ TEST(ServerClientTest, PublisherDisconnectMidDocumentAbortsCleanly) {
   ASSERT_TRUE((*survivor)->Feed("<a><b/></a>").ok());
   auto doc = (*survivor)->FinishDocument();
   ASSERT_TRUE(doc.ok());
-  // The aborted partial document was never completed, so the survivor's
-  // document is index 0.
-  EXPECT_EQ(*doc, 0u);
+  // The aborted partial document took index 0 when it opened, so the
+  // survivor's document is index 1.
+  EXPECT_EQ(*doc, 1u);
   // The frontier engine commits //b at <b> (ordinal 2), so the aborted
   // document already pushed its MATCH under index 0; no DOC_DONE
-  // followed it, and the completed document reuses the index.
+  // followed it, and the completed document's pushes carry index 1.
   const std::vector<ClientEvent> events = (*survivor)->TakeEvents();
   ASSERT_EQ(events.size(), 3u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(events[i].kind, ClientEvent::Kind::kMatch) << i;
     EXPECT_EQ(events[i].sub_id, *sub) << i;
-    EXPECT_EQ(events[i].doc, 0u) << i;
+    EXPECT_EQ(events[i].doc, i) << i;
     EXPECT_EQ(events[i].ordinal, 2u) << i;
   }
   EXPECT_EQ(events[2].kind, ClientEvent::Kind::kDocDone);
-  EXPECT_EQ(events[2].doc, 0u);
+  EXPECT_EQ(events[2].doc, 1u);
 }
 
 // A subscriber dying while another connection's document is mid-flight:

@@ -151,13 +151,9 @@ size_t ExpectPooledParity(const std::string& name,
     wire_ids.push_back(*id);
   }
 
-  // Serial reference: one direct engine, same overlays the server
-  // applies, same subscriptions in the same order.
-  EngineOptions direct_options = options.engine;
-  direct_options.max_element_depth = options.max_element_depth;
-  direct_options.max_entity_expansion_bytes =
-      options.max_entity_expansion_bytes;
-  auto direct = Engine::Create(direct_options);
+  // Serial reference: one direct engine with the server's engine
+  // options, same subscriptions in the same order.
+  auto direct = Engine::Create(options.engine);
   EXPECT_TRUE(direct.ok()) << name;
   if (!direct.ok()) return 0;
   MatchRecorder recorder;
