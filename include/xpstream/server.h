@@ -10,7 +10,9 @@
 /// (DeliveryMode::kEarliest reaches remote subscribers mid-document)
 /// plus a DOC_DONE verdict frame per completed document.
 ///
-///   auto server = Server::Start({.engine = {.engine = "frontier"}});
+///   ServerOptions options;  // engine starts as ServiceEngineOptions()
+///   options.engine.engine = "frontier";
+///   auto server = Server::Start(options);
 ///   auto client = Client::Connect("127.0.0.1", (*server)->port());
 ///   auto id     = (*client)->Subscribe("//book/title",
 ///                                      DeliveryMode::kEarliest);
@@ -85,8 +87,12 @@ struct ServerOptions {
   /// with an ERROR frame carrying kResourceExhausted (or admitted
   /// degraded). Defaults to ServiceEngineOptions(), the configuration
   /// xpstreamd serves with; a caller may still set a cap to 0
-  /// (unlimited) or turn the cut off. keep_history is always turned
-  /// off: a service's document stream is unbounded, and nothing in the
+  /// (unlimited) or turn the cut off. Set single fields of it: assigning
+  /// a whole EngineOptions (a fresh one, or a braced initializer)
+  /// replaces the defaults, so both caps read 0 (unlimited) and the cut
+  /// is off unless that EngineOptions sets them; start such a value
+  /// from ServiceEngineOptions(). keep_history is always turned off: a
+  /// service's document stream is unbounded, and nothing in the
   /// protocol reads the history.
   EngineOptions engine = ServiceEngineOptions();
 

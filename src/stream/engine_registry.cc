@@ -26,12 +26,42 @@ std::unique_ptr<Matcher> NewFilterBank(const std::string& name,
       symbols);
 }
 
-/// The error for an engine name outside the table.
-Status UnknownEngine(const std::string& name) {
+/// One built-in engine: its name, its matcher and its fragment gate.
+struct BuiltinEngine {
+  const char* name;
+  std::unique_ptr<Matcher> (*create)(const std::string& name,
+                                     SymbolTable* symbols);
+  Status (*check_fragment)(const Query& query);
+};
+
+/// Every built-in engine, one row each, in the planner's tie-break
+/// order (see EngineNames()).
+const BuiltinEngine kEngines[] = {
+    {"nfa", NewFilterBank<NfaFilter>, NfaFilter::CheckFragment},
+    {"lazy_dfa", NewFilterBank<LazyDfaFilter>, LazyDfaFilter::CheckFragment},
+    {"nfa_index",
+     [](const std::string&, SymbolTable* symbols) {
+       return NewNfaIndexMatcher(symbols);
+     },
+     NfaIndex::CheckFragment},
+    {"frontier",
+     [](const std::string&, SymbolTable* symbols) {
+       return NewFrontierMatcher(symbols);
+     },
+     FrontierFilter::CheckFragment},
+    {"naive", NewFilterBank<NaiveTreeFilter>,
+     [](const Query&) { return Status::OK(); }},
+};
+
+/// The row named `name`, or kNotFound listing the known names.
+Result<const BuiltinEngine*> FindEngine(const std::string& name) {
+  for (const BuiltinEngine& engine : kEngines) {
+    if (name == engine.name) return &engine;
+  }
   std::string known;
-  for (const std::string& known_name : EngineNames()) {
+  for (const BuiltinEngine& engine : kEngines) {
     if (!known.empty()) known += ", ";
-    known += known_name;
+    known += engine.name;
   }
   return Status::NotFound("unknown engine \"" + name + "\" (registered: " +
                           known + ")");
@@ -41,26 +71,23 @@ Status UnknownEngine(const std::string& name) {
 
 Result<std::unique_ptr<Matcher>> CreateMatcher(const std::string& name,
                                                SymbolTable* symbols) {
-  if (name == "frontier") return NewFrontierMatcher(symbols);
-  if (name == "lazy_dfa") return NewFilterBank<LazyDfaFilter>(name, symbols);
-  if (name == "naive") return NewFilterBank<NaiveTreeFilter>(name, symbols);
-  if (name == "nfa") return NewFilterBank<NfaFilter>(name, symbols);
-  if (name == "nfa_index") return NewNfaIndexMatcher(symbols);
-  return UnknownEngine(name);
+  auto engine = FindEngine(name);
+  if (!engine.ok()) return engine.status();
+  return (*engine)->create(name, symbols);
 }
 
 Status CheckEngineSupports(const std::string& name, const Query& query) {
-  if (name == "frontier") return FrontierFilter::CheckFragment(query);
-  if (name == "lazy_dfa") return LazyDfaFilter::CheckFragment(query);
-  if (name == "naive") return Status::OK();
-  if (name == "nfa") return NfaFilter::CheckFragment(query);
-  if (name == "nfa_index") return NfaIndex::CheckFragment(query);
-  return UnknownEngine(name);
+  auto engine = FindEngine(name);
+  if (!engine.ok()) return engine.status();
+  return (*engine)->check_fragment(query);
 }
 
 const std::vector<std::string>& EngineNames() {
-  static const std::vector<std::string> kNames = {
-      "nfa", "lazy_dfa", "nfa_index", "frontier", "naive"};
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const BuiltinEngine& engine : kEngines) names.push_back(engine.name);
+    return names;
+  }();
   return kNames;
 }
 

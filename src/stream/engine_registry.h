@@ -6,8 +6,11 @@
 /// facade: "naive", "nfa" and "lazy_dfa" are banks of one StreamFilter
 /// per subscription; "frontier" runs one frontier walk per query shape,
 /// shared by up to 64 subscriptions; "nfa_index" runs every
-/// subscription in one shared automaton. The facade resolves EngineOptions::engine
-/// (and each engine "auto" routes to) through CreateMatcher.
+/// subscription in one shared automaton. Each engine is one row of the
+/// table, naming its matcher and its fragment gate, so CreateMatcher,
+/// CheckEngineSupports and EngineNames() read the same list. The facade
+/// resolves EngineOptions::engine (and each engine "auto" routes to)
+/// through CreateMatcher.
 
 #include <memory>
 #include <string>

@@ -516,8 +516,8 @@ TEST(AdmissionTest, TcpSubscribeParity) {
   const std::string rejected = "//m[h and body]";
   const size_t price = PredictedPrice("frontier", admitted);
 
-  // Library side.
-  EngineOptions engineOptions;
+  // Library side, on the service's configuration.
+  EngineOptions engineOptions = ServiceEngineOptions();
   engineOptions.engine = "frontier";
   engineOptions.memory_budget_bytes = price;
   auto direct = Engine::Create(engineOptions);

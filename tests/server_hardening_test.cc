@@ -347,6 +347,40 @@ TEST(ServerHardeningTest, ElementDepthCapMatchesDirectEngine) {
   }
 }
 
+// An embedded server started the way server.h documents it (fields of
+// ServerOptions::engine set, not the whole EngineOptions replaced)
+// keeps ServiceEngineOptions()'s depth cap with either executor: a
+// document at depth 1024 passes, one at 1025 fails, the service lives.
+TEST(ServerHardeningTest, DocumentedStartKeepsServiceDepthCap) {
+  ASSERT_EQ(ServiceEngineOptions().max_element_depth, 1024u);
+  auto nested = [](size_t depth) {
+    std::string xml;
+    for (size_t i = 0; i < depth; ++i) xml += "<a>";
+    for (size_t i = 0; i < depth; ++i) xml += "</a>";
+    return xml;
+  };
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    ServerOptions options;
+    options.engine.engine = "frontier";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok()) << "workers=" << workers;
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE((*client)->Subscribe("//a").ok());
+
+    ASSERT_TRUE((*client)->Feed(nested(1024)).ok());
+    EXPECT_TRUE((*client)->FinishDocument().ok()) << "workers=" << workers;
+
+    ASSERT_TRUE((*client)->Feed(nested(1025)).ok());
+    auto too_deep = (*client)->FinishDocument();
+    ASSERT_FALSE(too_deep.ok()) << "workers=" << workers;
+    EXPECT_EQ(too_deep.status().code(), StatusCode::kNotWellFormed)
+        << too_deep.status().ToString();
+    ExpectServiceHealthy((*server)->port());
+  }
+}
+
 TEST(ServerHardeningTest, MalformedXmlFailsDocumentNotConnection) {
   auto server = Server::Start(SmallLimits());
   ASSERT_TRUE(server.ok());
